@@ -13,7 +13,6 @@ from .solver import (
     PicardConfig,
     SolveReport,
     SolverError,
-    solve_adjoint,
     solve_linear,
     solve_nonlinear,
     solve_sensitivity,
@@ -48,7 +47,6 @@ __all__ = [
     "caputo_right_via_reversal",
     "l1_weights",
     "mittag_leffler",
-    "solve_adjoint",
     "solve_linear",
     "solve_nonlinear",
     "solve_sensitivity",

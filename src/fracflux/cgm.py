@@ -87,19 +87,6 @@ class StopReason(enum.Enum):
 
 
 @dataclass
-class CgmState:
-    """Bookkeeping for one iterate (exposed to callbacks)."""
-
-    k: int
-    f: BoundaryFlux
-    grad: tuple[BoundaryTrace, BoundaryTrace] | None
-    dir: tuple[np.ndarray, np.ndarray] | None
-    J: float
-    zeta: tuple[float, float] | None
-    vartheta: tuple[float, float] | None
-
-
-@dataclass
 class CgmReport:
     k_star: int
     J_history: list
@@ -143,6 +130,16 @@ def gradient(f: BoundaryFlux, obs: Observations, problem: InverseProblem):
     return (BoundaryTrace(g, Edge.GAMMA1, g1), BoundaryTrace(g, Edge.GAMMA2, g2))
 
 
+def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
+    """L2 boundary-cylinder errors of the two reconstructed flux components."""
+    if fk.grid != fexact.grid:
+        raise ValueError("flux pair on mismatched grids")
+    g = fk.grid
+    e1 = trace_norm(BoundaryTrace(g, Edge.GAMMA1, fk.f1.values - fexact.f1.values))
+    e2 = trace_norm(BoundaryTrace(g, Edge.GAMMA2, fk.f2.values - fexact.f2.values))
+    return e1, e2
+
+
 def fletcher_reeves(grad_now, grad_prev) -> tuple[float, float]:
     """Per-flux ratios of squared gradient norms; zero history means restart."""
     out = []
@@ -178,10 +175,6 @@ def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tu
     return (R3 * R4 - R2 * R5) / den, (R1 * R5 - R2 * R3) / den
 
 
-def _project(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.clip(values, lo, hi)
-
-
 def run_cgm(
     problem: InverseProblem,
     obs: Observations,
@@ -205,7 +198,6 @@ def run_cgm(
     """
     grid = problem.grid
     f = init if init is not None else zero_flux(grid)
-    f = BoundaryFlux(f.f1, f.f2)  # drop bounds metadata for internal iterates
 
     error_history: list[tuple[float, float]] | None = [] if exact_flux is not None else None
     records: list[dict] = []
@@ -218,7 +210,7 @@ def run_cgm(
     _, rep, r1, r2, J = _forward_state(problem, f, obs)
     J_history = [J]
     if error_history is not None:
-        error_history.append(_errors(grid, f, exact_flux))
+        error_history.append(flux_error(f, exact_flux))
 
     while True:
         if J <= obs.epsilon_bar:
@@ -286,7 +278,7 @@ def run_cgm(
         k += 1
         J_history.append(J)
         if error_history is not None:
-            error_history.append(_errors(grid, f, exact_flux))
+            error_history.append(flux_error(f, exact_flux))
 
     return CgmReport(
         k_star=k_star,
@@ -296,12 +288,6 @@ def run_cgm(
         error_history=error_history,
         records=records,
     )
-
-
-def _errors(grid, f, exact_flux):
-    e1 = trace_norm(BoundaryTrace(grid, Edge.GAMMA1, f.f1.values - exact_flux.f1.values))
-    e2 = trace_norm(BoundaryTrace(grid, Edge.GAMMA2, f.f2.values - exact_flux.f2.values))
-    return e1, e2
 
 
 def _advance(problem, op, grid, S1, S2, r1, r2):
@@ -315,8 +301,8 @@ def _update_flux(grid, f, z1, S1, z2, S2, bounds):
     v2 = f.f2.values + z2 * S2
     if bounds is not None:
         lo1, hi1, lo2, hi2 = bounds
-        v1 = _project(v1, lo1, hi1)
-        v2 = _project(v2, lo2, hi2)
+        v1 = np.clip(v1, lo1, hi1)
+        v2 = np.clip(v2, lo2, hi2)
     return BoundaryFlux(
         f1=BoundaryTrace(grid, Edge.GAMMA1, v1),
         f2=BoundaryTrace(grid, Edge.GAMMA2, v2),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import tempfile
@@ -16,19 +17,19 @@ import time
 
 import numpy as np
 
-from .cgm import run_cgm
-from .experiments import (
-    PRESETS,
-    NoiseSpec,
-    flux_error,
-    noisy_observations,
-)
+from .cgm import flux_error, run_cgm
+from .experiments import PRESETS, NoiseSpec, noisy_observations
 from .mesh import Grid, spacetime_h1_diff
 from .solver import PicardConfig, SolverError, solve_nonlinear
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MISMATCH = 4
+
+# Picard tolerance of a forward/adjoint run whose [picard] sets neither
+# theta_bar nor fixed_iters
+DEFAULT_THETA_BAR = 1e-4
+DEFAULT_GAMMAS = (0.0, 0.005, 0.01, 0.05)
 
 MODE_PRESETS = {
     "forward": {"Fwd1"},
@@ -67,32 +68,38 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def emit_table(results: list[dict]) -> str:
-    """Render sweep results as CSV text with a fixed column order."""
-    cols = ["beta", "gamma", "epsilon_bar", "k_star", "E_f1", "E_f2"]
-    lines = [",".join(cols)]
-    for r in results:
-        lines.append(",".join(_fmt(r[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default=None):
+def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default=None, ok=None):
+    """One INI value, cast and checked; a missing key takes ``default``."""
     if not cfg.has_option(section, key):
         if default is not None:
             return default
         raise ConfigError(f"missing [{section}] {key}")
     raw = cfg.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if ok is not None and not ok(value):
+        raise ConfigError(f"value out of range for [{section}] {key}: {raw!r}")
+    return value
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _finite_list(raw: str) -> list[float]:
+    return [_finite(s) for s in raw.split(",") if s.strip()]
 
 
 def _grid_from_config(cfg: configparser.ConfigParser) -> Grid:
-    t_final = _get(cfg, "grid", "t_final", float, 1.0)
+    t_final = _get(cfg, "grid", "t_final", _finite, 1.0)
     if cfg.has_option("grid", "h"):
-        h = _get(cfg, "grid", "h", float)
-        tau = _get(cfg, "grid", "tau", float)
+        h = _get(cfg, "grid", "h", _finite)
+        tau = _get(cfg, "grid", "tau", _finite)
         return Grid.from_spacing(h, tau, t_final)
     nx = _get(cfg, "grid", "nx", int)
     ny = _get(cfg, "grid", "ny", int, nx)
@@ -101,14 +108,13 @@ def _grid_from_config(cfg: configparser.ConfigParser) -> Grid:
 
 
 def _picard_from_config(cfg: configparser.ConfigParser) -> PicardConfig:
-    theta = _get(cfg, "picard", "theta_bar", float, 0.0) if cfg.has_section("picard") else 0.0
-    fixed = _get(cfg, "picard", "fixed_iters", int, 0) if cfg.has_section("picard") else 0
-    max_outer = _get(cfg, "picard", "max_outer", int, 100) if cfg.has_section("picard") else 100
-    return PicardConfig(
-        theta_bar=theta if theta > 0.0 else None,
-        max_outer=max_outer,
-        fixed_iters=fixed if fixed > 0 else None,
-    )
+    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset."""
+    theta = _get(cfg, "picard", "theta_bar", _finite, 0.0, lambda v: v >= 0.0)
+    fixed = _get(cfg, "picard", "fixed_iters", int, 0, lambda v: v >= 0)
+    max_outer = _get(cfg, "picard", "max_outer", int, 100, lambda v: v >= 1)
+    if theta == 0.0 and fixed == 0:
+        theta = DEFAULT_THETA_BAR
+    return PicardConfig(theta_bar=theta or None, max_outer=max_outer, fixed_iters=fixed or None)
 
 
 def _solution_rows(grid: Grid, values: np.ndarray, times: list[float]):
@@ -120,17 +126,11 @@ def _solution_rows(grid: Grid, values: np.ndarray, times: list[float]):
                 yield (x, y, grid.ts[n], values[i, j, n])
 
 
-def _run_direct(cfg, preset_id, grid, beta, out, quiet) -> int:
-    example = PRESETS[preset_id](grid, beta)
-    picard = _picard_from_config(cfg)
-    if picard.theta_bar is None and picard.fixed_iters is None:
-        picard = PicardConfig(theta_bar=1e-4)
+def _run_direct(example, preset_id, grid, picard, times, out, quiet) -> int:
     start = time.perf_counter()
     u, report = solve_nonlinear(example.problem, picard)
     wall = time.perf_counter() - start
     err = spacetime_h1_diff(grid, u.values, example.exact.values)
-    times_raw = _get(cfg, "output", "times", str, "") if cfg.has_section("output") else ""
-    times = [float(s) for s in times_raw.split(",") if s.strip()] or [grid.t_final]
     write_csv(os.path.join(out, "solution.csv"), ["x", "y", "t", "u"], _solution_rows(grid, u.values, times))
     write_csv(
         os.path.join(out, "convergence.csv"),
@@ -148,21 +148,16 @@ def _run_direct(cfg, preset_id, grid, beta, out, quiet) -> int:
     return 0
 
 
-def _invert_once(example, gamma, seed, max_iter):
-    obs = example.observations
-    if gamma > 0.0:
-        obs = noisy_observations(obs, NoiseSpec(gamma=gamma, seed=seed))
+def _invert_once(example, noise: NoiseSpec, max_iter: int):
+    obs = noisy_observations(example.observations, noise)
     report = run_cgm(example.problem, obs, max_iter=max_iter, exact_flux=example.exact_flux)
     e1, e2 = flux_error(report.reconstructed, example.exact_flux)
     return report, obs, e1, e2
 
 
-def _run_invert(cfg, preset_id, grid, beta, out, seed, quiet) -> int:
-    example = PRESETS[preset_id](grid, beta)
-    gamma = _get(cfg, "noise", "gamma", float, 0.0) if cfg.has_section("noise") else 0.0
-    max_iter = _get(cfg, "cgm", "max_iter", int, 1000) if cfg.has_section("cgm") else 1000
+def _run_invert(example, preset_id, grid, noise, max_iter, out, quiet) -> int:
     start = time.perf_counter()
-    report, obs, e1, e2 = _invert_once(example, gamma, seed, max_iter)
+    report, obs, e1, e2 = _invert_once(example, noise, max_iter)
     wall = time.perf_counter() - start
     conv_rows = [
         (
@@ -216,69 +211,68 @@ def _run_invert(cfg, preset_id, grid, beta, out, seed, quiet) -> int:
     return 0
 
 
-def _run_table(cfg, preset_id, grid, beta, out, seed, quiet) -> int:
-    gammas_raw = _get(cfg, "noise", "gammas", str, "0,0.005,0.01,0.05") if cfg.has_section("noise") else "0,0.005,0.01,0.05"
-    gammas = [float(s) for s in gammas_raw.split(",") if s.strip()]
-    max_iter = _get(cfg, "cgm", "max_iter", int, 1000) if cfg.has_section("cgm") else 1000
-    example = PRESETS[preset_id](grid, beta)
-    results = []
-    for gamma in gammas:
-        report, obs, e1, e2 = _invert_once(example, gamma, seed, max_iter)
-        results.append(
-            {
-                "beta": beta,
-                "gamma": gamma,
-                "epsilon_bar": obs.epsilon_bar,
-                "k_star": report.k_star,
-                "E_f1": e1,
-                "E_f2": e2,
-            }
-        )
+def _run_table(example, preset_id, beta, sweep, max_iter, out, quiet) -> int:
+    rows = []
+    for noise in sweep:
+        report, obs, e1, e2 = _invert_once(example, noise, max_iter)
+        rows.append((beta, noise.gamma, obs.epsilon_bar, report.k_star, e1, e2))
         if not quiet:
-            print(f"{preset_id} gamma={gamma:g}: k*={report.k_star} E=({e1:.3e},{e2:.3e})")
-    text = emit_table(results)
-    os.makedirs(out, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=".tmp-csv-")
-    with os.fdopen(fd, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, os.path.join(out, "table.csv"))
+            print(f"{preset_id} gamma={noise.gamma:g}: k*={report.k_star} E=({e1:.3e},{e2:.3e})")
+    write_csv(
+        os.path.join(out, "table.csv"),
+        ["beta", "gamma", "epsilon_bar", "k_star", "E_f1", "E_f2"],
+        rows,
+    )
     return 0
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run; returns the process exit code.
+
+    Every INI value is read and checked here, before any work starts; the
+    flags given to this function override the file.
+    """
     cfg = configparser.ConfigParser()
     try:
         if not cfg.read(config_path):
             raise ConfigError(f"cannot read config file {config_path!r}")
         run_mode = mode or _get(cfg, "run", "mode", str)
-        preset_id = _get(cfg, "run", "preset", str)
-        out_dir = out or (_get(cfg, "run", "out", str, "out"))
-        beta = _get(cfg, "problem", "beta", float, 0.3) if cfg.has_section("problem") else 0.3
-        the_seed = seed if seed is not None else (
-            _get(cfg, "noise", "seed", int, 1234) if cfg.has_section("noise") else 1234
-        )
-        grid = _grid_from_config(cfg)
         if run_mode not in MODE_PRESETS:
             raise ConfigError(f"unknown mode {run_mode!r}")
-    except (ConfigError, configparser.Error) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if preset_id not in PRESETS:
-        print(f"error: config: unknown preset {preset_id!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        preset_id = _get(cfg, "run", "preset", str)
+        if preset_id not in PRESETS:
+            raise ConfigError(f"unknown preset {preset_id!r}")
+        out_dir = out or _get(cfg, "run", "out", str, "out")
+        grid = _grid_from_config(cfg)
+        beta = _get(cfg, "problem", "beta", _finite, 0.3, lambda v: 0.0 < v < 1.0)
+        picard = _picard_from_config(cfg)
+        times = _get(cfg, "output", "times", _finite_list, []) or [grid.t_final]
+        max_iter = _get(cfg, "cgm", "max_iter", int, 1000, lambda v: v >= 0)
+        the_seed = seed if seed is not None else _get(cfg, "noise", "seed", int, 1234)
+        noise = NoiseSpec(gamma=_get(cfg, "noise", "gamma", _finite, 0.0), seed=the_seed)
+        gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS)
+        sweep = [NoiseSpec(gamma=gamma, seed=the_seed) for gamma in gammas]
+    except (ValueError, configparser.Error) as exc:  # Grid and NoiseSpec raise ValueError
+        return _fail(EXIT_CONFIG, f"config: {exc}")
     if preset_id not in MODE_PRESETS[run_mode]:
-        print(f"error: mismatch: preset {preset_id!r} not valid for mode {run_mode!r}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return _fail(EXIT_MISMATCH, f"mismatch: preset {preset_id!r} not valid for mode {run_mode!r}")
     try:
+        try:
+            example = PRESETS[preset_id](grid, beta)
+        except ValueError as exc:  # e.g. a Mittag-Leffler argument outside the series' domain
+            return _fail(EXIT_CONFIG, f"config: {exc}")
         if run_mode in ("forward", "adjoint"):
-            return _run_direct(cfg, preset_id, grid, beta, out_dir, quiet)
+            return _run_direct(example, preset_id, grid, picard, times, out_dir, quiet)
         if run_mode == "invert":
-            return _run_invert(cfg, preset_id, grid, beta, out_dir, the_seed, quiet)
-        return _run_table(cfg, preset_id, grid, beta, out_dir, the_seed, quiet)
+            return _run_invert(example, preset_id, grid, noise, max_iter, out_dir, quiet)
+        return _run_table(example, preset_id, beta, sweep, max_iter, out_dir, quiet)
     except SolverError as exc:
-        print(f"error: solver: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(EXIT_SOLVER, f"solver: {exc}")
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Manufactured problem builders, noise injection, and error metrics.
+"""Manufactured problem builders and noise injection.
 
 Forward/terminal validation cases use separable closed-form solutions whose
 source terms follow from the product rule; the flux-identification cases
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgm import InverseProblem, Observations
+from .cgm import InverseProblem, Observations, cost
 from .fracops import mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated
 from .mesh import (
@@ -24,7 +24,6 @@ from .mesh import (
     Edge,
     Field,
     Grid,
-    restrict_to_edge,
     trace_norm,
 )
 from .solver import Direction, NonlinearProblem, PicardConfig, solve_nonlinear
@@ -40,6 +39,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.gamma < 0.0:
             raise ValueError("noise level must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("noise seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -78,53 +79,21 @@ def _rational_model(a: float = 1.0, s_max: float = 2.5, n: int = 4001) -> Tabula
     return Tabulated.from_function(lambda s: 1.0 / (1.0 + a * s), s_max, n)
 
 
-def make_forward_example1(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
-    """Direct problem with exact solution E_beta(-t^beta) (1-x)(1-y).
+def _separable_example(
+    grid: Grid, beta: float, a: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray, direction: Direction
+) -> ForwardExample:
+    """Problem with exact solution V(t) (1-x)(1-y) and k(s) = 1/(1 + a s).
 
-    The coefficient is k(s) = 1/(1 + a s).  Because the time factor solves
-    the fractional relaxation equation, its fractional derivative is exactly
-    its negative, so the source has the closed form
-    F = psi (-E - 4 E^3 k'(s)) with s = E^2 ((1-y)^2 + (1-x)^2).
+    ``DV`` is the fractional derivative of the time factor ``V`` in the
+    orientation of ``direction``.  With s = V^2 ((1-y)^2 + (1-x)^2) the
+    product rule gives the source F = psi (DV - 4 V^3 k'(s)), and the exact
+    fluxes -k du/dn on the two flux edges follow by substitution.
     """
     X, Y = _meshed(grid)
     psi = (1.0 - X) * (1.0 - Y)
-    E = np.asarray(mittag_leffler(beta, -grid.ts**beta))
-    s = (E**2)[None, None, :] * (((1.0 - Y) ** 2 + (1.0 - X) ** 2)[:, :, None])
-    kp = -a / (1.0 + a * s) ** 2
-    F = psi[:, :, None] * (-E[None, None, :] - 4.0 * E[None, None, :] ** 3 * kp)
-    s1 = np.outer((1.0 - grid.ys) ** 2 + 1.0, E**2)
-    f1 = -(1.0 / (1.0 + a * s1)) * np.outer(1.0 - grid.ys, E)
-    s2 = np.outer(1.0 + (1.0 - grid.xs) ** 2, E**2)
-    f2 = -(1.0 / (1.0 + a * s2)) * np.outer(1.0 - grid.xs, E)
-    problem = NonlinearProblem(
-        grid=grid,
-        beta=beta,
-        model=_rational_model(a),
-        source=F,
-        flux=_flux(grid, f1, f2),
-        g=psi,
-    )
-    exact = Field(grid, psi[:, :, None] * E[None, None, :])
-    return ForwardExample(problem=problem, exact=exact)
-
-
-def make_adjoint_example2(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
-    """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
-
-    The right-sided fractional derivative of the time factor is
-    Gamma(2 beta + 1)/Gamma(beta + 1) (T-t)^beta; otherwise the same algebra
-    as the direct case with V = (T-t)^(2 beta) in place of E.
-    """
-    X, Y = _meshed(grid)
-    psi = (1.0 - X) * (1.0 - Y)
-    T = grid.t_final
-    V = (T - grid.ts) ** (2.0 * beta)
-    c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
     s = (V**2)[None, None, :] * (((1.0 - Y) ** 2 + (1.0 - X) ** 2)[:, :, None])
     kp = -a / (1.0 + a * s) ** 2
-    F = psi[:, :, None] * (
-        c * ((T - grid.ts) ** beta)[None, None, :] - 4.0 * V[None, None, :] ** 3 * kp
-    )
+    F = psi[:, :, None] * (DV[None, None, :] - 4.0 * V[None, None, :] ** 3 * kp)
     s1 = np.outer((1.0 - grid.ys) ** 2 + 1.0, V**2)
     f1 = -(1.0 / (1.0 + a * s1)) * np.outer(1.0 - grid.ys, V)
     s2 = np.outer(1.0 + (1.0 - grid.xs) ** 2, V**2)
@@ -135,11 +104,35 @@ def make_adjoint_example2(beta: float, grid: Grid, a: float = 1.0) -> ForwardExa
         model=_rational_model(a),
         source=F,
         flux=_flux(grid, f1, f2),
-        g=np.zeros((grid.nx, grid.ny)),
-        direction=Direction.BACKWARD,
+        g=g,
+        direction=direction,
     )
     exact = Field(grid, psi[:, :, None] * V[None, None, :])
     return ForwardExample(problem=problem, exact=exact)
+
+
+def make_forward_example1(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
+    """Direct problem with exact solution E_beta(-t^beta) (1-x)(1-y).
+
+    The time factor solves the fractional relaxation equation, so its
+    fractional derivative is exactly its negative.
+    """
+    E = np.asarray(mittag_leffler(beta, -grid.ts**beta))
+    X, Y = _meshed(grid)
+    return _separable_example(grid, beta, a, E, -E, (1.0 - X) * (1.0 - Y), Direction.FORWARD)
+
+
+def make_adjoint_example2(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
+    """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
+
+    The right-sided fractional derivative of the time factor is
+    Gamma(2 beta + 1)/Gamma(beta + 1) (T-t)^beta.
+    """
+    T = grid.t_final
+    V = (T - grid.ts) ** (2.0 * beta)
+    c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
+    DV = c * (T - grid.ts) ** beta
+    return _separable_example(grid, beta, a, V, DV, np.zeros((grid.nx, grid.ny)), Direction.BACKWARD)
 
 
 def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
@@ -228,20 +221,11 @@ def _guarded_inverse_example(
     F, exact_flux = _example2_data(grid)
     fine = grid.refined(2)
     F_fine, flux_fine = _example2_data(fine)
-    picard = PicardConfig(theta_bar=1e-12, fixed_iters=20)
-    h1, h2 = _synthesize_observations(grid, beta, model, F_fine, flux_fine, picard)
     problem = InverseProblem(grid=grid, beta=beta, model=model, source=F, g=np.zeros((grid.nx, grid.ny)))
+    h1, h2 = _synthesize_observations(grid, beta, model, F_fine, flux_fine, problem.picard)
     # attainable misfit floor: the inversion-grid solution at the exact flux
-    nl = NonlinearProblem(grid, beta, model, F, exact_flux, np.zeros((grid.nx, grid.ny)))
-    u, _ = solve_nonlinear(nl, picard)
-    r1 = restrict_to_edge(u, Edge.GAMMA1).values - h1.values
-    r2 = restrict_to_edge(u, Edge.GAMMA2).values - h2.values
-    floor = 0.5 * (
-        trace_norm(BoundaryTrace(grid, Edge.GAMMA1, r1)) ** 2
-        + trace_norm(BoundaryTrace(grid, Edge.GAMMA2, r2)) ** 2
-    )
-    eps_bar = max(EPSILON_BAR_CLEAN, floor)
-    obs = Observations(h1=h1, h2=h2, epsilon_bar=eps_bar)
+    floor = cost(exact_flux, Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN), problem)
+    obs = Observations(h1=h1, h2=h2, epsilon_bar=max(EPSILON_BAR_CLEAN, floor))
     return InverseExample(problem=problem, exact_flux=exact_flux, observations=obs)
 
 
@@ -294,16 +278,6 @@ def noisy_observations(obs: Observations, spec: NoiseSpec) -> Observations:
         return obs
     eps_bar = max(obs.epsilon_bar, 0.5 * (eps1**2 + eps2**2))
     return Observations(h1=obs.h1, h2=obs.h2, epsilon_bar=eps_bar, h1_noisy=h1n, h2_noisy=h2n)
-
-
-def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
-    """L2 boundary-cylinder errors of the two reconstructed flux components."""
-    if fk.grid != fexact.grid:
-        raise ValueError("flux pair on mismatched grids")
-    g = fk.grid
-    e1 = trace_norm(BoundaryTrace(g, Edge.GAMMA1, fk.f1.values - fexact.f1.values))
-    e2 = trace_norm(BoundaryTrace(g, Edge.GAMMA2, fk.f2.values - fexact.f2.values))
-    return e1, e2
 
 
 PRESETS = {

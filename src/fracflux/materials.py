@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, gradient_squared
+from .mesh import gradient_squared
 
 
 class PlasticityModel:
-    """Interface: vectorized ``k(t_sq)`` and its derivative ``k_prime(t_sq)``."""
+    """Interface: the vectorized coefficient ``k(t_sq)``."""
 
     def k(self, t_sq):
-        raise NotImplementedError
-
-    def k_prime(self, t_sq):
         raise NotImplementedError
 
     def _check(self, t_sq) -> np.ndarray:
@@ -42,9 +39,6 @@ class Constant(PlasticityModel):
 
     def k(self, t_sq):
         return np.full_like(self._check(t_sq), self.value)
-
-    def k_prime(self, t_sq):
-        return np.zeros_like(self._check(t_sq))
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,6 @@ class RambergOsgood(PlasticityModel):
         ratio = np.maximum(s / self.t0_sq, 1.0)
         return base * ratio**expo
 
-    def k_prime(self, t_sq):
-        s = self._check(t_sq)
-        base = self.scale / self.shear_modulus
-        expo = 0.5 * (self.hardening - 1.0)
-        out = np.zeros_like(s)
-        plastic = s > self.t0_sq
-        out[plastic] = base * expo / self.t0_sq * (s[plastic] / self.t0_sq) ** (expo - 1.0)
-        return out
-
 
 @dataclass(frozen=True)
 class Tabulated(PlasticityModel):
@@ -115,26 +100,6 @@ class Tabulated(PlasticityModel):
 
     def k(self, t_sq):
         return np.interp(self._check(t_sq), self.t_sq_samples, self.k_samples)
-
-    def k_prime(self, t_sq):
-        s = self._check(t_sq)
-        slopes = np.diff(self.k_samples) / np.diff(self.t_sq_samples)
-        seg = np.clip(np.searchsorted(self.t_sq_samples, s, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[seg]
-        out = np.where((s <= self.t_sq_samples[0]) | (s >= self.t_sq_samples[-1]), 0.0, out)
-        return out
-
-
-def k_eval(model: PlasticityModel, t_sq):
-    """Evaluate the coefficient at squared stress intensity values."""
-    return model.k(t_sq)
-
-
-def k_field(model: PlasticityModel, u: Field, time_level: int) -> np.ndarray:
-    """Frozen coefficient field k(|grad u|^2) at one time level."""
-    g = u.grid
-    s = gradient_squared(u.values[:, :, time_level], g.hx, g.hy)
-    return model.k(s)
 
 
 def kappa_from_iterate(model: PlasticityModel, grid, values: np.ndarray) -> np.ndarray:

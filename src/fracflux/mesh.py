@@ -10,7 +10,7 @@ All integrals are composite trapezoid rules in space and time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class Grid:
     @classmethod
     def from_spacing(cls, h: float, tau: float, t_final: float = 1.0) -> "Grid":
         """Grid with mesh size ~h in both directions and time step ~tau."""
+        if not (h > 0.0 and tau > 0.0):
+            raise ValueError("grid needs h > 0 and tau > 0")
         n = round(1.0 / h) + 1
         nt = round(t_final / tau)
         return cls(nx=n, ny=n, nt=nt, t_final=t_final)
@@ -86,10 +88,6 @@ def edge_size(grid: Grid, edge: Edge) -> int:
 
 def edge_spacing(grid: Grid, edge: Edge) -> float:
     return grid.hy if edge in (Edge.GAMMA1, Edge.GAMMA3) else grid.hx
-
-
-def edge_coords(grid: Grid, edge: Edge) -> np.ndarray:
-    return grid.ys if edge in (Edge.GAMMA1, Edge.GAMMA3) else grid.xs
 
 
 @dataclass(frozen=True)
@@ -123,41 +121,26 @@ class BoundaryTrace:
 
 @dataclass(frozen=True)
 class BoundaryFlux:
-    """The pair of unknown fluxes (f1 on Gamma1, f2 on Gamma2).
-
-    ``bounds`` optionally carries the admissible box (f1_lo, f1_hi, f2_lo,
-    f2_hi); when present every sample must lie strictly inside it.
-    """
+    """The pair of unknown fluxes (f1 on Gamma1, f2 on Gamma2)."""
 
     f1: BoundaryTrace
     f2: BoundaryTrace
-    bounds: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         if self.f1.edge is not Edge.GAMMA1 or self.f2.edge is not Edge.GAMMA2:
             raise ValueError("f1 must live on Gamma1 and f2 on Gamma2")
         if self.f1.grid != self.f2.grid:
             raise ValueError("flux components on different grids")
-        if self.bounds is not None:
-            lo1, hi1, lo2, hi2 = self.bounds
-            if not (
-                np.all(self.f1.values > lo1)
-                and np.all(self.f1.values < hi1)
-                and np.all(self.f2.values > lo2)
-                and np.all(self.f2.values < hi2)
-            ):
-                raise ValueError("flux leaves the admissible bounds")
 
     @property
     def grid(self) -> Grid:
         return self.f1.grid
 
 
-def zero_flux(grid: Grid, bounds=None) -> BoundaryFlux:
+def zero_flux(grid: Grid) -> BoundaryFlux:
     return BoundaryFlux(
         f1=BoundaryTrace(grid, Edge.GAMMA1, np.zeros((grid.ny, grid.nt + 1))),
         f2=BoundaryTrace(grid, Edge.GAMMA2, np.zeros((grid.nx, grid.nt + 1))),
-        bounds=bounds,
     )
 
 

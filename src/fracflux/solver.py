@@ -339,26 +339,3 @@ def solve_sensitivity(
     vals = op.march(source, f1, f2, np.zeros((grid.nx, grid.ny)))
     return Field(grid, vals)
 
-
-def solve_adjoint(
-    residual1: BoundaryTrace,
-    residual2: BoundaryTrace,
-    frozen_kappa: np.ndarray,
-    grid: Grid,
-    beta: float,
-) -> Field:
-    """Backward solve with flux data 2*(u|_Gamma_i - h_i) and zero final state."""
-    flux = BoundaryFlux(
-        f1=BoundaryTrace(grid, Edge.GAMMA1, 2.0 * residual1.values),
-        f2=BoundaryTrace(grid, Edge.GAMMA2, 2.0 * residual2.values),
-    )
-    spec = LinearProblemSpec(
-        grid=grid,
-        beta=beta,
-        kappa=np.asarray(frozen_kappa, dtype=float),
-        source=np.zeros((grid.nx, grid.ny, grid.nt + 1)),
-        flux=flux,
-        initial_or_final=np.zeros((grid.nx, grid.ny)),
-        direction=Direction.BACKWARD,
-    )
-    return solve_linear(spec)

@@ -13,11 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from fracflux.cgm import StopReason, cost, gradient, run_cgm
+from fracflux.cgm import StopReason, cost, flux_error, gradient, run_cgm
 from fracflux.cli import run as cli_run
 from fracflux.experiments import (
     NoiseSpec,
-    flux_error,
     make_adjoint_example2,
     make_forward_example1,
     make_inverse_example1,

@@ -3,18 +3,22 @@
 import csv
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracflux.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_SOLVER,
-    emit_table,
+    MODE_PRESETS,
     main,
     run,
     write_csv,
 )
+from fracflux.experiments import PRESETS
 
 
 def _write_config(path, text):
@@ -76,16 +80,6 @@ def test_write_csv_formats_and_is_atomic(tmp_path):
     assert not [p for p in os.listdir(tmp_path / "sub") if p.startswith(".tmp")]
 
 
-def test_emit_table_empty_and_single_row():
-    assert emit_table([]) == "beta,gamma,epsilon_bar,k_star,E_f1,E_f2\n"
-    row = {"beta": 0.3, "gamma": 0.01, "epsilon_bar": 1e-6, "k_star": 7,
-           "E_f1": 0.012, "E_f2": 0.013}
-    text = emit_table([row])
-    rec = next(csv.DictReader(text.splitlines()))
-    assert int(rec["k_star"]) == 7
-    assert float(rec["E_f1"]) == 0.012
-
-
 def test_forward_mode_writes_outputs(tmp_path):
     cfg = _write_config(tmp_path / "run.ini", FORWARD_CFG)
     out = tmp_path / "out"
@@ -100,6 +94,19 @@ def test_forward_mode_writes_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 36  # one 6x6 slice at the final time
     assert all(float(r["t"]) == 1.0 for r in rows)
+
+
+def test_forward_mode_without_picard_section_uses_default_tolerance(tmp_path):
+    text = FORWARD_CFG[: FORWARD_CFG.index("[picard]")]
+    cfg = _write_config(tmp_path / "run.ini", text)
+    out = tmp_path / "out"
+    assert run(cfg, out=str(out), quiet=True) == 0
+    with open(out / "summary.csv") as fh:
+        rec = next(csv.DictReader(fh))
+    assert int(rec["eta_star"]) >= 1
+    with open(out / "convergence.csv") as fh:
+        residuals = [float(r["residual"]) for r in csv.DictReader(fh)]
+    assert residuals[-1] <= 1e-4 < residuals[-2]
 
 
 def test_invert_mode_writes_outputs(tmp_path):
@@ -165,11 +172,16 @@ seed = 5
     )
     out = tmp_path / "out"
     assert run(cfg, out=str(out), quiet=True) == 0
-    with open(out / "table.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    lines = (out / "table.csv").read_text().splitlines()
+    assert lines[0] == "beta,gamma,epsilon_bar,k_star,E_f1,E_f2"
+    rows = list(csv.DictReader(lines))
     assert len(rows) == 2
     assert [float(r["gamma"]) for r in rows] == [0.0, 0.01]
+    assert rows[0]["beta"] == "%.17g" % 0.3  # 17 significant digits
+    assert all(r["k_star"].isdigit() and int(r["k_star"]) <= 2 for r in rows)
+    assert all(math.isfinite(float(r["E_f1"])) for r in rows)
     assert float(rows[1]["epsilon_bar"]) > float(rows[0]["epsilon_bar"])
+    assert not [p for p in os.listdir(out) if p.startswith(".tmp")]
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -255,3 +267,81 @@ def test_main_parses_flags(tmp_path):
     assert code == 0
     with pytest.raises(SystemExit):
         main(["--mode", "forward"])  # --config is required
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FORWARD_CFG.replace("nx = 6", "nx = 2"),
+        FORWARD_CFG.replace("nx = 6\nny = 6\nnt = 10", "h = 0\ntau = 0.1"),
+        FORWARD_CFG.replace("nx = 6\nny = 6\nnt = 10", "h = 0.2\ntau = -0.1"),
+        FORWARD_CFG.replace("beta = 0.3", "beta = 1.5"),
+        FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = -1"),
+        FORWARD_CFG + "\n[output]\ntimes = 0.5, nan\n",
+        INVERT_CFG.replace("gamma = 0.01", "gamma = abc"),
+        INVERT_CFG.replace("gamma = 0.01", "gamma = -1"),
+        INVERT_CFG.replace("seed = 99", "seed = -1"),
+        INVERT_CFG.replace("max_iter = 3", "max_iter = -1"),
+        # Fwd1's time factor E_0.9(-t^0.9) out to t = 20 is beyond the
+        # Mittag-Leffler series
+        FORWARD_CFG.replace("nt = 10", "nt = 20\nt_final = 20").replace("beta = 0.3", "beta = 0.9"),
+    ],
+    ids=["nx", "h", "tau", "beta", "theta_bar", "times", "gamma_text", "gamma_negative",
+         "seed", "max_iter", "mittag_leffler"],
+)
+def test_invalid_value_is_config_error(tmp_path, text):
+    cfg = _write_config(tmp_path / "run.ini", text)
+    assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+_GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-1", "0", "1e999", "%(x)s", "%", "1,2"])
+_PAIRS = [(mode, preset) for mode, presets in sorted(MODE_PRESETS.items()) for preset in sorted(presets)]
+
+
+@st.composite
+def _ini_files(draw):
+    """INI text that is mostly valid: each key is now and then garbage or absent."""
+
+    def value(*good):
+        # Hypothesis favours the ends of a range, so the rare kinds sit inside it
+        kind = draw(st.integers(0, 19))
+        if kind == 9:
+            return draw(_GARBAGE)
+        return None if kind == 10 else draw(st.sampled_from(good))
+
+    mode, preset = draw(st.sampled_from(_PAIRS))
+    if draw(st.integers(0, 4)) == 2:
+        preset = draw(st.sampled_from(sorted(PRESETS)))
+    grid = draw(st.sampled_from(["h", "nx"]))
+    sections = {
+        "run": {"mode": value(mode), "preset": value(preset)},
+        "grid": (
+            {"h": value(0.5, 0.25, 0.0), "tau": value(0.5, 0.2), "t_final": value(0.5, 1.0, 2.0)}
+            if grid == "h"
+            else {"nx": value(2, 3, 4), "ny": value(3, 4), "nt": value(0, 1, 3), "t_final": value(0.5, 2.0)}
+        ),
+        "problem": {"beta": value(0.05, 0.3, 0.5, 0.9, 1.5)},
+        "picard": {"theta_bar": value(1e-3, 1e-16, 0.0), "fixed_iters": value(0, 2), "max_outer": value(1, 3)},
+        # never absent and at most 2, so that every inversion stays short
+        "cgm": {"max_iter": draw(st.one_of(st.sampled_from([0, 1, 2]), _GARBAGE))},
+        "noise": {"gamma": value(0.0, 0.01), "gammas": value("0", "0, 0.01"), "seed": value(0, 5)},
+        "output": {"times": value("0.5", "0, 1", "3", "-1")},
+    }
+    lines = ["not an ini line"] if draw(st.integers(0, 19)) == 9 else []
+    for name, keys in sections.items():
+        if name != "cgm" and draw(st.integers(0, 9)) == 4:
+            continue  # a missing section
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {v}" for key, v in keys.items() if v is not None]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=_ini_files())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_ini_files_never_raise(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert run(path, out=os.path.join(tmp, "out"), quiet=True) in {0, EXIT_CONFIG, EXIT_SOLVER, EXIT_MISMATCH}

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fracflux.cgm import cost
+from fracflux.cgm import cost, flux_error
 from fracflux.experiments import (
     PRESETS,
     NoiseSpec,
     add_noise,
-    flux_error,
     make_adjoint_example2,
     make_forward_example1,
     make_inverse_example1,

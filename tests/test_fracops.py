@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from fracflux.fracops import (
     caputo_left_apply,
@@ -141,13 +142,36 @@ def test_mittag_leffler_at_zero_is_one():
 
 
 def test_mittag_leffler_exponential_case():
+    z = np.array([-1.0, -2.0, -3.0, -4.0])
     assert mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert mittag_leffler(1.0, z) == pytest.approx(np.exp(z), rel=1e-12)
+    with pytest.raises(ValueError):
+        mittag_leffler(1.0, -10.0)  # e^10 of cancellation in the series
 
 
 def test_mittag_leffler_half_order_closed_form():
     # E_{1/2}(z) = exp(z^2) erfc(-z); at z=-1 that is e * erfc(1)
     want = math.e * math.erfc(1.0)
     assert mittag_leffler(0.5, -1.0) == pytest.approx(want, rel=1e-10)
+
+
+def test_mittag_leffler_half_order_matches_erfcx_or_raises():
+    # E_{1/2}(-x) = erfcx(x); the series returns 5e41 at x = 10 unless it
+    # refuses an argument where cancellation ruins it
+    x = np.linspace(0.0, 2.0, 21)
+    assert mittag_leffler(0.5, -x) == pytest.approx(erfcx(x), rel=1e-12)
+    with pytest.raises(ValueError):
+        mittag_leffler(0.5, -10.0)
+    with pytest.raises(ValueError):
+        mittag_leffler(0.5, np.array([-1.0, -10.0]))
+
+
+def test_mittag_leffler_small_order_converges_or_raises():
+    # beta = 0.05 needs about 360 terms at z = -1; further out the series
+    # does not converge within its term budget
+    assert mittag_leffler(0.05, -1.0) == pytest.approx(0.49278415120025198, rel=1e-12)
+    with pytest.raises(ValueError):
+        mittag_leffler(0.05, -2.0)
 
 
 def test_mittag_leffler_monotone_and_bounded_on_unit_interval():

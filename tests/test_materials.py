@@ -9,11 +9,10 @@ from fracflux.materials import (
     Constant,
     RambergOsgood,
     Tabulated,
-    k_eval,
-    k_field,
+    kappa_from_iterate,
     validate_class_K,
 )
-from fracflux.mesh import Field, Grid
+from fracflux.mesh import Grid
 
 
 SOFT = RambergOsgood(e_young=110.0, nu=0.3, t0_sq=0.02, hardening=0.5)
@@ -22,9 +21,8 @@ STIFF = RambergOsgood(e_young=210.0, nu=0.3, t0_sq=0.027, hardening=0.5)
 
 def test_constant_model():
     m = Constant(1.0)
-    assert k_eval(m, 0.0) == 1.0
-    assert k_eval(m, 123.4) == 1.0
-    assert m.k_prime(2.0) == 0.0
+    assert m.k(0.0) == 1.0
+    assert m.k(123.4) == 1.0
     with pytest.raises(ValueError):
         Constant(-1.0)
     with pytest.raises(ValueError):
@@ -76,19 +74,10 @@ def test_ramberg_osgood_monotone_past_threshold(t1, factor, kap):
     assert m.k(t1 * factor) <= m.k(t1)
 
 
-def test_ramberg_osgood_prime_sign():
-    s = np.linspace(0.0, 0.5, 101)
-    kp = SOFT.k_prime(s)
-    assert np.all(kp[s <= 0.02] == 0.0)
-    assert np.all(kp[s > 0.02] < 0.0)
-
-
 def test_tabulated_interpolation_and_clamping():
     m = Tabulated(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.5]))
     assert m.k(0.5) == pytest.approx(1.5)
     assert m.k(5.0) == pytest.approx(0.5)  # clamped right
-    assert m.k_prime(0.5) == pytest.approx(-1.0)
-    assert m.k_prime(5.0) == 0.0
 
 
 def test_tabulated_from_function_matches_formula():
@@ -106,8 +95,7 @@ def test_tabulated_validation():
 
 def test_k_field_constant_iterate_hits_plateau():
     g = Grid(nx=6, ny=6, nt=3)
-    u = Field(g, np.zeros((g.nx, g.ny, g.nt + 1)))
-    vals = k_field(SOFT, u, 0)
+    vals = kappa_from_iterate(SOFT, g, np.zeros((g.nx, g.ny, g.nt + 1)))
     assert vals == pytest.approx(1.0 / SOFT.shear_modulus)
 
 
@@ -115,9 +103,9 @@ def test_k_field_linear_iterate_power_branch():
     g = Grid(nx=6, ny=6, nt=3)
     a = 1.0  # slope with a^2 = 1 > T0^2
     X, _ = np.meshgrid(g.xs, g.ys, indexing="ij")
-    u = Field(g, np.repeat((a * X)[:, :, None], g.nt + 1, axis=2))
+    u = np.repeat((a * X)[:, :, None], g.nt + 1, axis=2)
     want = (1.0 / SOFT.shear_modulus) * (a**2 / 0.02) ** (0.5 * (0.5 - 1.0))
-    assert k_field(SOFT, u, 1) == pytest.approx(want, rel=1e-12)
+    assert kappa_from_iterate(SOFT, g, u) == pytest.approx(want, rel=1e-12)
 
 
 def test_validate_class_K_constant():

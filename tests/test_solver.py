@@ -27,7 +27,6 @@ from fracflux.solver import (
     NonlinearProblem,
     PicardConfig,
     SolverError,
-    solve_adjoint,
     solve_linear,
     solve_nonlinear,
     solve_sensitivity,
@@ -248,23 +247,6 @@ def test_sensitivity_superposition():
         g, 0.5, kappa, s1=BoundaryTrace(g, Edge.GAMMA1, 2.0 * s1.values)
     )
     assert doubled.values == pytest.approx(2.0 * only1.values, rel=1e-13, abs=1e-14)
-
-
-def test_adjoint_solve_zero_residuals_and_linearity():
-    g = Grid(nx=7, ny=7, nt=8)
-    rng = np.random.default_rng(6)
-    kappa = 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1))
-    z1 = BoundaryTrace(g, Edge.GAMMA1, np.zeros((g.ny, g.nt + 1)))
-    z2 = BoundaryTrace(g, Edge.GAMMA2, np.zeros((g.nx, g.nt + 1)))
-    phi0 = solve_adjoint(z1, z2, kappa, g, 0.5)
-    assert np.all(phi0.values == 0.0)
-    r1 = BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1)))
-    r2 = BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=(g.nx, g.nt + 1)))
-    phi = solve_adjoint(r1, r2, kappa, g, 0.5)
-    r1d = BoundaryTrace(g, Edge.GAMMA1, 2.0 * r1.values)
-    r2d = BoundaryTrace(g, Edge.GAMMA2, 2.0 * r2.values)
-    phid = solve_adjoint(r1d, r2d, kappa, g, 0.5)
-    assert phid.values == pytest.approx(2.0 * phi.values, rel=1e-13, abs=1e-14)
 
 
 def test_discrete_fractional_summation_by_parts():
