@@ -8,12 +8,10 @@ from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
     Direction,
     GridOperator,
-    LinearProblemSpec,
     NonlinearProblem,
     PicardConfig,
     SolveReport,
     SolverError,
-    solve_linear,
     solve_nonlinear,
     solve_sensitivity,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "Grid",
     "GridOperator",
     "L1Weights",
-    "LinearProblemSpec",
     "NonlinearProblem",
     "PicardConfig",
     "PlasticityModel",
@@ -47,7 +44,6 @@ __all__ = [
     "caputo_right_via_reversal",
     "l1_weights",
     "mittag_leffler",
-    "solve_linear",
     "solve_nonlinear",
     "solve_sensitivity",
     "trace_norm",

@@ -121,13 +121,18 @@ def cost(f: BoundaryFlux, obs: Observations, problem: InverseProblem) -> float:
     return _forward_state(problem, f, obs)[4]
 
 
+def _adjoint_state(problem: InverseProblem, kappa: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+    """Operator at the forward solve's coefficient and the misfit gradient traces."""
+    op = GridOperator(problem.grid, problem.beta, kappa)
+    g1, g2 = op.adjoint_gradient(r1, r2)
+    g = problem.grid
+    return op, BoundaryTrace(g, Edge.GAMMA1, g1), BoundaryTrace(g, Edge.GAMMA2, g2)
+
+
 def gradient(f: BoundaryFlux, obs: Observations, problem: InverseProblem):
     """Misfit gradient with respect to (f1, f2) as L2 boundary traces."""
     _, rep, r1, r2, _ = _forward_state(problem, f, obs)
-    op = GridOperator(problem.grid, problem.beta, rep.kappa)
-    g1, g2 = op.adjoint_gradient(r1, r2)
-    g = problem.grid
-    return (BoundaryTrace(g, Edge.GAMMA1, g1), BoundaryTrace(g, Edge.GAMMA2, g2))
+    return _adjoint_state(problem, rep.kappa, r1, r2)[1:]
 
 
 def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
@@ -223,10 +228,8 @@ def run_cgm(
             k_star = k
             break
 
-        op = GridOperator(grid, problem.beta, rep.kappa)
-        g1, g2 = op.adjoint_gradient(r1, r2)
-        g1t = BoundaryTrace(grid, Edge.GAMMA1, g1)
-        g2t = BoundaryTrace(grid, Edge.GAMMA2, g2)
+        op, g1t, g2t = _adjoint_state(problem, rep.kappa, r1, r2)
+        g1, g2 = g1t.values, g2t.values
         gn = (trace_norm(g1t), trace_norm(g2t))
         if float(np.hypot(*gn)) == 0.0:
             stop_reason = StopReason.VANISHED_GRADIENT
@@ -247,7 +250,7 @@ def run_cgm(
             S1 = -g1 + theta[0] * S1
             S2 = -g2 + theta[1] * S2
             on_sd = False
-        z1, z2 = _advance(problem, op, grid, S1, S2, r1, r2)
+        z1, z2 = _advance(op, S1, S2, r1, r2)
 
         accepted = None
         for _ in range(max_backtracks + 2):
@@ -264,7 +267,7 @@ def run_cgm(
                 on_sd = True
                 theta = (0.0, 0.0)
                 S1, S2 = -g1, -g2
-                z1, z2 = _advance(problem, op, grid, S1, S2, r1, r2)
+                z1, z2 = _advance(op, S1, S2, r1, r2)
             else:
                 z1, z2 = 0.5 * z1, 0.5 * z2
         if accepted is None:
@@ -290,9 +293,9 @@ def run_cgm(
     )
 
 
-def _advance(problem, op, grid, S1, S2, r1, r2):
-    sens1 = solve_sensitivity(grid, problem.beta, op.kappa, s1=BoundaryTrace(grid, Edge.GAMMA1, S1), op=op)
-    sens2 = solve_sensitivity(grid, problem.beta, op.kappa, s2=BoundaryTrace(grid, Edge.GAMMA2, S2), op=op)
+def _advance(op, S1, S2, r1, r2):
+    sens1 = solve_sensitivity(op, s1=BoundaryTrace(op.grid, Edge.GAMMA1, S1))
+    sens2 = solve_sensitivity(op, s2=BoundaryTrace(op.grid, Edge.GAMMA2, S2))
     return step_sizes(sens1, sens2, r1, r2)
 
 

@@ -201,17 +201,11 @@ def gradient_squared(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     return gx * gx + gy * gy
 
 
-def spacetime_h1_norm(fl: Field) -> float:
-    """The L2(0,T; H^1) norm: sqrt of the time integral of |grad u|^2 + u^2."""
-    g = fl.grid
-    dens = gradient_squared(fl.values, g.hx, g.hy) + fl.values**2
-    wx = _trapezoid_weights(g.nx, g.hx)
-    wy = _trapezoid_weights(g.ny, g.hy)
-    wt = time_weights(g)
-    per_level = np.einsum("i,j,ijn->n", wx, wy, dens)
-    return float(np.sqrt(max(per_level @ wt, 0.0)))
-
-
 def spacetime_h1_diff(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """Convenience: the H1 space-time norm of the difference of two value arrays."""
-    return spacetime_h1_norm(Field(grid, a - b))
+    """The L2(0,T; H^1) norm of a - b: sqrt of the time integral of |grad|^2 + value^2."""
+    d = a - b
+    dens = gradient_squared(d, grid.hx, grid.hy) + d**2
+    wx = _trapezoid_weights(grid.nx, grid.hx)
+    wy = _trapezoid_weights(grid.ny, grid.hy)
+    per_level = np.einsum("i,j,ijn->n", wx, wy, dens)
+    return float(np.sqrt(max(per_level @ time_weights(grid), 0.0)))

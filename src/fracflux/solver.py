@@ -1,7 +1,10 @@
 """Implicit finite-difference solvers for the fractional diffusion problems.
 
-One marching code path handles both time orientations: the terminal-value
-problem is reflected in time, solved forward, and reflected back.  Space is
+``GridOperator.march`` is the one linear solve.  ``solve_nonlinear`` builds
+an operator at the frozen coefficient of every Picard sweep and marches it
+once; a terminal-value problem has its data reflected in time once, is
+iterated forward in the reflected time, and only the result is reflected
+back.  ``solve_sensitivity`` marches an existing operator.  Space is
 discretized by a conservative finite-volume scheme (harmonic-mean face
 coefficients) on the unknowns i < nx-1, j < ny-1; the Dirichlet edges x=1 and
 y=1 are eliminated, the flux edges x=0 and y=0 enter the right-hand side
@@ -53,23 +56,6 @@ class Direction(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LinearProblemSpec:
-    """One linearized solve: frozen coefficient, source, fluxes and g.
-
-    ``kappa`` and ``source`` are (nx, ny, nt+1) arrays; ``initial_or_final``
-    is the (nx, ny) slice prescribed at t=0 (forward) or t=T (backward).
-    """
-
-    grid: Grid
-    beta: float
-    kappa: np.ndarray
-    source: np.ndarray
-    flux: BoundaryFlux
-    initial_or_final: np.ndarray
-    direction: Direction = Direction.FORWARD
-
-
-@dataclass(frozen=True)
 class NonlinearProblem:
     """The quasilinear problem: coefficient k(|grad u|^2) from a material model."""
 
@@ -95,6 +81,10 @@ class PicardConfig:
             raise ValueError("need theta_bar or fixed_iters")
         if self.theta_bar is not None and self.theta_bar <= 0.0:
             raise ValueError("theta_bar must be positive")
+        if self.fixed_iters is not None and self.fixed_iters < 1:
+            raise ValueError("fixed_iters must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -252,49 +242,29 @@ class GridOperator:
         return g1, g2
 
 
-def solve_linear(spec: LinearProblemSpec) -> Field:
-    """Solve one linearized problem; backward problems are time-reflected."""
-    kappa, source = spec.kappa, spec.source
-    f1, f2 = spec.flux.f1.values, spec.flux.f2.values
-    if spec.direction is Direction.BACKWARD:
-        kappa = kappa[:, :, ::-1]
-        source = source[:, :, ::-1]
-        f1, f2 = f1[:, ::-1], f2[:, ::-1]
-    op = GridOperator(spec.grid, spec.beta, np.ascontiguousarray(kappa))
-    vals = op.march(source, f1, f2, spec.initial_or_final)
-    if spec.direction is Direction.BACKWARD:
-        vals = vals[:, :, ::-1]
-    return Field(spec.grid, np.ascontiguousarray(vals))
-
-
 def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field, SolveReport]:
     """Successive linearization: freeze k at the previous iterate and resolve.
 
     Starts from the zero iterate; stops when the L2(0,T;H1) increment drops
     to ``theta_bar`` or after ``fixed_iters`` sweeps.  Three consecutive
-    residual increases abort the iteration.
+    residual increases abort the iteration.  A backward problem is iterated
+    in reflected time; k(|grad u|^2) acts on each level separately, so that
+    gives the same sweeps as iterating in the original orientation.
     """
     start = time.perf_counter()
     grid = problem.grid
+    t = slice(None, None, -1) if problem.direction is Direction.BACKWARD else slice(None)
+    source, f1, f2 = problem.source[:, :, t], problem.flux.f1.values[:, t], problem.flux.f2.values[:, t]
     u_old = np.zeros((grid.nx, grid.ny, grid.nt + 1))
     history: list[float] = []
     limit = cfg.fixed_iters if cfg.fixed_iters is not None else cfg.max_outer
     rises = 0
     converged = False
     u_new = u_old
-    for it in range(1, limit + 1):
+    for _ in range(limit):
         kappa = kappa_from_iterate(problem.model, grid, u_old)
-        spec = LinearProblemSpec(
-            grid=grid,
-            beta=problem.beta,
-            kappa=kappa,
-            source=problem.source,
-            flux=problem.flux,
-            initial_or_final=problem.g,
-            direction=problem.direction,
-        )
-        u_new = solve_linear(spec).values
-        res = spacetime_h1_diff(grid, u_new, u_old)
+        u_new = GridOperator(grid, problem.beta, kappa).march(source, f1, f2, problem.g)
+        res = spacetime_h1_diff(grid, u_new[:, :, t], u_old[:, :, t])
         history.append(res)
         if cfg.theta_bar is not None and res <= cfg.theta_bar:
             converged = True
@@ -308,6 +278,7 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
             f"no convergence to theta_bar={cfg.theta_bar} in {cfg.max_outer} sweeps",
             residual_history=history,
         )
+    u_new = np.ascontiguousarray(u_new[:, :, t])
     eta_star = max(len(history) - 1, 1) if converged else len(history)
     report = SolveReport(
         eta_star=eta_star,
@@ -318,24 +289,15 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     return Field(grid, u_new), report
 
 
-def solve_sensitivity(
-    grid: Grid,
-    beta: float,
-    frozen_kappa: np.ndarray,
-    s1: BoundaryTrace | None = None,
-    s2: BoundaryTrace | None = None,
-    op: GridOperator | None = None,
-) -> Field:
-    """Linearized forward solve with zero source/initial data and fluxes (s1, s2).
+def solve_sensitivity(op: GridOperator, s1: BoundaryTrace | None = None, s2: BoundaryTrace | None = None) -> Field:
+    """Linearized response to the fluxes (s1, s2) with zero source and initial data.
 
-    Pass ``op`` to reuse an operator (and its factorizations) built from the
-    same frozen coefficient.
+    ``op`` carries the grid, the order and the frozen coefficient, and keeps
+    its factorizations for the next call; a missing flux is zero.
     """
+    grid = op.grid
     f1 = s1.values if s1 is not None else np.zeros((grid.ny, grid.nt + 1))
     f2 = s2.values if s2 is not None else np.zeros((grid.nx, grid.nt + 1))
-    if op is None:
-        op = GridOperator(grid, beta, frozen_kappa)
     source = np.zeros((grid.nx, grid.ny, grid.nt + 1))
     vals = op.march(source, f1, f2, np.zeros((grid.nx, grid.ny)))
     return Field(grid, vals)
-

@@ -25,7 +25,7 @@ from fracflux.mesh import (
     trace_norm,
     zero_flux,
 )
-from fracflux.solver import NonlinearProblem, PicardConfig, solve_nonlinear, solve_sensitivity
+from fracflux.solver import GridOperator, NonlinearProblem, PicardConfig, solve_nonlinear, solve_sensitivity
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +141,9 @@ def test_step_sizes_decoupled_when_one_direction_is_zero(setup):
     kappa = np.ones((g.nx, g.ny, g.nt + 1))
     S1 = BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1)))
     S2 = BoundaryTrace(g, Edge.GAMMA2, np.zeros((g.nx, g.nt + 1)))
-    sens1 = solve_sensitivity(g, problem.beta, kappa, s1=S1)
-    sens2 = solve_sensitivity(g, problem.beta, kappa, s2=S2)
+    op = GridOperator(g, problem.beta, kappa)
+    sens1 = solve_sensitivity(op, s1=S1)
+    sens2 = solve_sensitivity(op, s2=S2)
     r1 = rng.normal(size=(g.ny, g.nt + 1))
     r2 = rng.normal(size=(g.nx, g.nt + 1))
     z1, z2 = step_sizes(sens1, sens2, r1, r2)
@@ -199,6 +200,9 @@ def test_run_cgm_callback_records(setup):
     run_cgm(problem, obs, max_iter=2, callback=seen.append)
     assert len(seen) == 2
     assert {"k", "J", "grad_norm1", "zeta1", "vartheta1"} <= set(seen[0])
+    # the public gradient is the one the loop takes its first step from
+    g1, g2 = gradient(zero_flux(problem.grid), obs, problem)
+    assert (trace_norm(g1), trace_norm(g2)) == (seen[0]["grad_norm1"], seen[0]["grad_norm2"])
 
 
 def test_run_cgm_respects_bounds(setup):

@@ -141,10 +141,21 @@ def test_mittag_leffler_at_zero_is_one():
         assert mittag_leffler(beta, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
+def _accurate_where_accepted(beta, exact):
+    # every argument on [-5, 0] either raises or is within the promised 1e-12
+    for z in np.linspace(-5.0, 0.0, 501):
+        try:
+            got = mittag_leffler(beta, z)
+        except ValueError:
+            continue
+        assert got == pytest.approx(exact(z), rel=1e-12, abs=0.0), z
+
+
 def test_mittag_leffler_exponential_case():
-    z = np.array([-1.0, -2.0, -3.0, -4.0])
+    z = np.array([-1.0, -2.0, -3.0])
     assert mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert mittag_leffler(1.0, z) == pytest.approx(np.exp(z), rel=1e-12)
+    _accurate_where_accepted(1.0, np.exp)
     with pytest.raises(ValueError):
         mittag_leffler(1.0, -10.0)  # e^10 of cancellation in the series
 
@@ -160,6 +171,7 @@ def test_mittag_leffler_half_order_matches_erfcx_or_raises():
     # refuses an argument where cancellation ruins it
     x = np.linspace(0.0, 2.0, 21)
     assert mittag_leffler(0.5, -x) == pytest.approx(erfcx(x), rel=1e-12)
+    _accurate_where_accepted(0.5, lambda z: erfcx(-z))
     with pytest.raises(ValueError):
         mittag_leffler(0.5, -10.0)
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracflux.fracops import caputo_left_apply, l1_weights
 from fracflux.materials import Constant, Tabulated
@@ -15,7 +17,6 @@ from fracflux.mesh import (
     Field,
     Grid,
     restrict_to_edge,
-    spacetime_h1_diff,
     trace_inner,
     trace_norm,
     zero_flux,
@@ -23,68 +24,45 @@ from fracflux.mesh import (
 from fracflux.solver import (
     Direction,
     GridOperator,
-    LinearProblemSpec,
     NonlinearProblem,
     PicardConfig,
     SolverError,
-    solve_linear,
     solve_nonlinear,
     solve_sensitivity,
 )
 
 
-def _steady_setup(grid, beta=0.4):
-    """Exact steady state u = (1-x)(1-y) with unit coefficient."""
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    psi = (1 - X) * (1 - Y)
-    kappa = np.ones((grid.nx, grid.ny, grid.nt + 1))
-    source = np.zeros_like(kappa)
-    f1 = np.tile(-(1 - grid.ys)[:, None], (1, grid.nt + 1))
-    f2 = np.tile(-(1 - grid.xs)[:, None], (1, grid.nt + 1))
-    flux = BoundaryFlux(
-        f1=BoundaryTrace(grid, Edge.GAMMA1, f1),
-        f2=BoundaryTrace(grid, Edge.GAMMA2, f2),
-    )
-    return LinearProblemSpec(grid, beta, kappa, source, flux, psi), psi
+def _zero_fluxes(grid):
+    return np.zeros((grid.ny, grid.nt + 1)), np.zeros((grid.nx, grid.nt + 1))
 
 
 def test_zero_data_gives_zero_solution():
     g = Grid(nx=6, ny=6, nt=5)
-    spec = LinearProblemSpec(
-        g,
-        0.5,
-        np.ones((g.nx, g.ny, g.nt + 1)),
-        np.zeros((g.nx, g.ny, g.nt + 1)),
-        zero_flux(g),
-        np.zeros((g.nx, g.ny)),
-    )
-    u = solve_linear(spec)
-    assert np.all(u.values == 0.0)
+    op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
+    u = op.march(np.zeros((g.nx, g.ny, g.nt + 1)), *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    assert np.all(u == 0.0)
 
 
 def test_steady_bilinear_state_is_exact():
-    # the scheme reproduces (1-x)(1-y) to round-off on any grid
+    # the scheme reproduces (1-x)(1-y) with unit coefficient to round-off on any grid
     g = Grid(nx=7, ny=5, nt=4)
-    spec, psi = _steady_setup(g)
-    u = solve_linear(spec)
+    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    psi = (1 - X) * (1 - Y)
+    f1 = np.tile(-(1 - g.ys)[:, None], (1, g.nt + 1))
+    f2 = np.tile(-(1 - g.xs)[:, None], (1, g.nt + 1))
+    op = GridOperator(g, 0.4, np.ones((g.nx, g.ny, g.nt + 1)))
+    u = op.march(np.zeros((g.nx, g.ny, g.nt + 1)), f1, f2, psi)
     for n in range(g.nt + 1):
-        assert u.values[:, :, n] == pytest.approx(psi, abs=1e-13)
+        assert u[:, :, n] == pytest.approx(psi, abs=1e-13)
 
 
 def test_dirichlet_rows_are_exactly_zero():
     g = Grid(nx=6, ny=7, nt=4)
     rng = np.random.default_rng(5)
-    spec = LinearProblemSpec(
-        g,
-        0.3,
-        np.ones((g.nx, g.ny, g.nt + 1)) * 2.0,
-        rng.normal(size=(g.nx, g.ny, g.nt + 1)),
-        zero_flux(g),
-        np.zeros((g.nx, g.ny)),
-    )
-    u = solve_linear(spec)
-    assert np.max(np.abs(u.values[-1, :, :])) == 0.0
-    assert np.max(np.abs(u.values[:, -1, :])) == 0.0
+    op = GridOperator(g, 0.3, np.ones((g.nx, g.ny, g.nt + 1)) * 2.0)
+    u = op.march(rng.normal(size=(g.nx, g.ny, g.nt + 1)), *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    assert np.max(np.abs(u[-1, :, :])) == 0.0
+    assert np.max(np.abs(u[:, -1, :])) == 0.0
 
 
 def test_manufactured_quadratic_time_convergence():
@@ -96,15 +74,11 @@ def test_manufactured_quadratic_time_convergence():
         X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
         psi = (1 - X) * (1 - Y)
         F = 2 * g.ts ** (2 - beta) / math.gamma(3 - beta) * psi[:, :, None]
-        flux = BoundaryFlux(
-            f1=BoundaryTrace(g, Edge.GAMMA1, -np.outer(1 - g.ys, g.ts**2)),
-            f2=BoundaryTrace(g, Edge.GAMMA2, -np.outer(1 - g.xs, g.ts**2)),
-        )
-        spec = LinearProblemSpec(
-            g, beta, np.ones((g.nx, g.ny, g.nt + 1)), F, flux, np.zeros((g.nx, g.ny))
-        )
-        u = solve_linear(spec)
-        errs.append(np.max(np.abs(u.values - psi[:, :, None] * g.ts**2)))
+        f1 = -np.outer(1 - g.ys, g.ts**2)
+        f2 = -np.outer(1 - g.xs, g.ts**2)
+        op = GridOperator(g, beta, np.ones((g.nx, g.ny, g.nt + 1)))
+        u = op.march(F, f1, f2, np.zeros((g.nx, g.ny)))
+        errs.append(np.max(np.abs(u - psi[:, :, None] * g.ts**2)))
     rate = np.log(errs[0] / errs[1]) / np.log(4.0)
     assert rate > 1.2
     assert errs[1] < 1e-5
@@ -113,52 +87,37 @@ def test_manufactured_quadratic_time_convergence():
 def test_linearity_and_scaling_in_the_data():
     g = Grid(nx=6, ny=6, nt=8)
     rng = np.random.default_rng(7)
-    kappa = np.full((g.nx, g.ny, g.nt + 1), 1.5)
+    op = GridOperator(g, 0.6, np.full((g.nx, g.ny, g.nt + 1), 1.5))
     F = rng.normal(size=(g.nx, g.ny, g.nt + 1))
-    flux = BoundaryFlux(
-        f1=BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1))),
-        f2=BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=(g.nx, g.nt + 1))),
-    )
-    base = solve_linear(LinearProblemSpec(g, 0.6, kappa, F, flux, np.zeros((g.nx, g.ny))))
-    scaled_flux = BoundaryFlux(
-        f1=BoundaryTrace(g, Edge.GAMMA1, 3.0 * flux.f1.values),
-        f2=BoundaryTrace(g, Edge.GAMMA2, 3.0 * flux.f2.values),
-    )
-    scaled = solve_linear(
-        LinearProblemSpec(g, 0.6, kappa, 3.0 * F, scaled_flux, np.zeros((g.nx, g.ny)))
-    )
-    assert scaled.values == pytest.approx(3.0 * base.values, rel=1e-12, abs=1e-12)
+    f1 = rng.normal(size=(g.ny, g.nt + 1))
+    f2 = rng.normal(size=(g.nx, g.nt + 1))
+    g0 = np.zeros((g.nx, g.ny))
+    base = op.march(F, f1, f2, g0)
+    scaled = op.march(3.0 * F, 3.0 * f1, 3.0 * f2, g0)
+    assert scaled == pytest.approx(3.0 * base, rel=1e-12, abs=1e-12)
 
 
 def test_backward_direction_reverses_forward():
     # solving backward with time-reflected data reproduces the reflected
-    # forward solution exactly
+    # forward solution, through the whole Picard iteration
     g = Grid(nx=6, ny=6, nt=9)
     rng = np.random.default_rng(9)
-    kappa = 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1))
+    model = Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0)
     F = rng.normal(size=(g.nx, g.ny, g.nt + 1))
     f1 = rng.normal(size=(g.ny, g.nt + 1))
     f2 = rng.normal(size=(g.nx, g.nt + 1))
-    flux = BoundaryFlux(
-        f1=BoundaryTrace(g, Edge.GAMMA1, f1), f2=BoundaryTrace(g, Edge.GAMMA2, f2)
-    )
-    fwd = solve_linear(LinearProblemSpec(g, 0.4, kappa, F, flux, np.zeros((g.nx, g.ny))))
-    flux_r = BoundaryFlux(
-        f1=BoundaryTrace(g, Edge.GAMMA1, f1[:, ::-1].copy()),
-        f2=BoundaryTrace(g, Edge.GAMMA2, f2[:, ::-1].copy()),
-    )
-    bwd = solve_linear(
-        LinearProblemSpec(
-            g,
-            0.4,
-            kappa[:, :, ::-1].copy(),
-            F[:, :, ::-1].copy(),
-            flux_r,
-            np.zeros((g.nx, g.ny)),
-            Direction.BACKWARD,
-        )
-    )
+    cfg = PicardConfig(fixed_iters=4)
+
+    def solve(F, f1, f2, direction):
+        flux = BoundaryFlux(f1=BoundaryTrace(g, Edge.GAMMA1, f1), f2=BoundaryTrace(g, Edge.GAMMA2, f2))
+        return solve_nonlinear(NonlinearProblem(g, 0.4, model, F, flux, np.zeros((g.nx, g.ny)), direction), cfg)
+
+    fwd, fwd_rep = solve(F, f1, f2, Direction.FORWARD)
+    bwd, bwd_rep = solve(F[:, :, ::-1].copy(), f1[:, ::-1].copy(), f2[:, ::-1].copy(), Direction.BACKWARD)
+    assert np.max(np.abs(fwd.values)) > 0.1
     assert bwd.values == pytest.approx(fwd.values[:, :, ::-1], rel=1e-13, abs=1e-13)
+    assert bwd_rep.kappa == pytest.approx(fwd_rep.kappa[:, :, ::-1], rel=1e-13, abs=1e-13)
+    assert bwd_rep.residual_history == pytest.approx(fwd_rep.residual_history, rel=1e-13)
 
 
 def test_rejects_nonpositive_coefficient():
@@ -172,16 +131,9 @@ def test_rejects_nonpositive_coefficient():
 def test_rejects_incompatible_initial_data():
     g = Grid(nx=5, ny=5, nt=3)
     bad = np.ones((g.nx, g.ny))  # nonzero on the Dirichlet edges
-    spec = LinearProblemSpec(
-        g,
-        0.5,
-        np.ones((g.nx, g.ny, g.nt + 1)),
-        np.zeros((g.nx, g.ny, g.nt + 1)),
-        zero_flux(g),
-        bad,
-    )
+    op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
     with pytest.raises(SolverError):
-        solve_linear(spec)
+        op.march(np.zeros((g.nx, g.ny, g.nt + 1)), *_zero_fluxes(g), bad)
 
 
 def test_nonlinear_constant_model_converges_immediately():
@@ -231,6 +183,10 @@ def test_nonlinear_reports_failure_when_tolerance_unreachable():
     with pytest.raises(SolverError) as info:
         solve_nonlinear(problem, PicardConfig(theta_bar=1e-16, max_outer=4))
     assert info.value.residual_history is not None
+    # a sweep budget below one would return the zero iterate unreported
+    for bad in ({"fixed_iters": 0}, {"fixed_iters": -2}, {"max_outer": 0}):
+        with pytest.raises(ValueError):
+            PicardConfig(theta_bar=1e-4, **bad)
 
 
 def test_sensitivity_superposition():
@@ -239,13 +195,12 @@ def test_sensitivity_superposition():
     kappa = 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1))
     s1 = BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1)))
     s2 = BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=(g.nx, g.nt + 1)))
-    both = solve_sensitivity(g, 0.5, kappa, s1=s1, s2=s2)
-    only1 = solve_sensitivity(g, 0.5, kappa, s1=s1)
-    only2 = solve_sensitivity(g, 0.5, kappa, s2=s2)
+    op = GridOperator(g, 0.5, kappa)
+    both = solve_sensitivity(op, s1=s1, s2=s2)
+    only1 = solve_sensitivity(op, s1=s1)
+    only2 = solve_sensitivity(op, s2=s2)
     assert both.values == pytest.approx(only1.values + only2.values, rel=1e-12, abs=1e-13)
-    doubled = solve_sensitivity(
-        g, 0.5, kappa, s1=BoundaryTrace(g, Edge.GAMMA1, 2.0 * s1.values)
-    )
+    doubled = solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, 2.0 * s1.values))
     assert doubled.values == pytest.approx(2.0 * only1.values, rel=1e-13, abs=1e-14)
 
 
@@ -315,3 +270,33 @@ def test_lu_sharing_between_identical_levels():
     rng = np.random.default_rng(8)
     op_vary = GridOperator(g, 0.5, 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1)))
     assert int(op_vary._group[-1]) == g.nt
+
+
+@given(
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    nt=st.integers(1, 8),
+    beta=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_operator_duality(nx, ny, nt, beta, seed):
+    # sum_i <r_i, trace_i(march(0, d1, d2, 0))> = sum_i <adjoint_gradient(r)_i, d_i>
+    # for a positive coefficient that varies between levels, some repeated
+    g = Grid(nx=nx, ny=ny, nt=nt)
+    rng = np.random.default_rng(seed)
+    kappa = 0.5 + 2.0 * rng.random(size=(nx, ny, nt + 1))
+    for n in 1 + np.flatnonzero(rng.random(nt) < 0.3):
+        kappa[:, :, n] = kappa[:, :, n - 1]
+    op = GridOperator(g, beta, kappa)
+    d1, r1 = rng.normal(size=(2, ny, nt + 1))
+    d2, r2 = rng.normal(size=(2, nx, nt + 1))
+    u = Field(g, op.march(np.zeros((nx, ny, nt + 1)), d1, d2, np.zeros((nx, ny))))
+    G1, G2 = op.adjoint_gradient(r1, r2)
+    lhs = trace_inner(BoundaryTrace(g, Edge.GAMMA1, r1), restrict_to_edge(u, Edge.GAMMA1)) + trace_inner(
+        BoundaryTrace(g, Edge.GAMMA2, r2), restrict_to_edge(u, Edge.GAMMA2)
+    )
+    rhs = trace_inner(BoundaryTrace(g, Edge.GAMMA1, G1), BoundaryTrace(g, Edge.GAMMA1, d1)) + trace_inner(
+        BoundaryTrace(g, Edge.GAMMA2, G2), BoundaryTrace(g, Edge.GAMMA2, d2)
+    )
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
