@@ -2,7 +2,7 @@
 adjoint-based conjugate gradient identification of its two boundary fluxes."""
 
 from .cgm import CgmReport, InverseProblem, Observations, StopReason, cost, gradient, run_cgm
-from .fracops import L1Weights, caputo_left_apply, caputo_right_via_reversal, l1_weights, mittag_leffler
+from .fracops import L1Weights, caputo_left_apply, l1_weights, mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated, validate_class_K
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
@@ -41,7 +41,6 @@ __all__ = [
     "SolverError",
     "Tabulated",
     "caputo_left_apply",
-    "caputo_right_via_reversal",
     "l1_weights",
     "mittag_leffler",
     "solve_nonlinear",

@@ -4,8 +4,9 @@ Each iteration runs one nonlinear forward solve, one adjoint (transpose)
 solve for the gradient, and two linearized sensitivity solves that feed the
 closed-form 2x2 system for the per-flux step sizes; the iteration stops by
 the discrepancy principle.  Directions use Fletcher-Reeves coefficients with
-periodic restarts, and a non-decreasing cost triggers one steepest-descent
-retry before the run is declared stagnated.
+a restart every ``RESTART_EVERY`` iterations, and a non-decreasing cost
+triggers one steepest-descent retry and then step halvings, ``MAX_BACKTRACKS``
++ 2 trials in all, before the run is declared stagnated.
 """
 
 from __future__ import annotations
@@ -37,33 +38,25 @@ from .solver import (
 )
 
 
-class VanishedGradient(RuntimeError):
-    """Both gradient components vanished; the iteration cannot continue."""
+RESTART_EVERY = 50  # iterations k with k % RESTART_EVERY == 0 take steepest descent
+MAX_BACKTRACKS = 30  # an iteration tries at most MAX_BACKTRACKS + 2 steps before StagnatedJ
 
 
 @dataclass(frozen=True)
 class Observations:
-    """Boundary measurements, optional noisy variants, and the stop threshold."""
+    """Boundary measurements on Gamma1 and Gamma2 and the stop threshold."""
 
     h1: BoundaryTrace
     h2: BoundaryTrace
     epsilon_bar: float
-    h1_noisy: BoundaryTrace | None = None
-    h2_noisy: BoundaryTrace | None = None
 
     def __post_init__(self):
         if self.epsilon_bar <= 0.0:
             raise ValueError("epsilon_bar must be positive")
-        if (self.h1_noisy is None) != (self.h2_noisy is None):
-            raise ValueError("provide noisy variants for both edges or neither")
-
-    @property
-    def active_h1(self) -> BoundaryTrace:
-        return self.h1_noisy if self.h1_noisy is not None else self.h1
-
-    @property
-    def active_h2(self) -> BoundaryTrace:
-        return self.h2_noisy if self.h2_noisy is not None else self.h2
+        if self.h1.edge is not Edge.GAMMA1 or self.h2.edge is not Edge.GAMMA2:
+            raise ValueError("h1 must live on Gamma1 and h2 on Gamma2")
+        if self.h1.grid != self.h2.grid:
+            raise ValueError("observations on different grids")
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,11 @@ class InverseProblem:
     source: np.ndarray
     g: np.ndarray
     picard: PicardConfig = field(default_factory=lambda: PicardConfig(theta_bar=1e-12, fixed_iters=20))
-    bounds: tuple[float, float, float, float] | None = None
+
+    def __post_init__(self):
+        expect = (self.grid.nx, self.grid.ny, self.grid.nt + 1)
+        if np.shape(self.source) != expect:
+            raise ValueError(f"source shape {np.shape(self.source)} != {expect}")
 
 
 class StopReason(enum.Enum):
@@ -97,6 +94,8 @@ class CgmReport:
 
 
 def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observations):
+    if obs.h1.grid != problem.grid:
+        raise ValueError("observations and problem on different grids")
     nl = NonlinearProblem(
         grid=problem.grid,
         beta=problem.beta,
@@ -106,8 +105,8 @@ def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observation
         g=problem.g,
     )
     u, rep = solve_nonlinear(nl, problem.picard)
-    r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.active_h1.values
-    r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.active_h2.values
+    r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
+    r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values
     g = problem.grid
     J = 0.5 * (
         trace_norm(BoundaryTrace(g, Edge.GAMMA1, r1)) ** 2
@@ -145,17 +144,6 @@ def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
     return e1, e2
 
 
-def fletcher_reeves(grad_now, grad_prev) -> tuple[float, float]:
-    """Per-flux ratios of squared gradient norms; zero history means restart."""
-    out = []
-    norms_prev = [trace_norm(tp) for tp in grad_prev]
-    if all(n == 0.0 for n in norms_prev):
-        raise VanishedGradient("previous gradient vanished on both edges")
-    for tn, npv in zip(grad_now, norms_prev):
-        out.append(trace_norm(tn) ** 2 / npv**2 if npv > 0.0 else 0.0)
-    return tuple(out)
-
-
 def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
     """Closed-form dual step sizes from the 2x2 normal system.
 
@@ -187,29 +175,24 @@ def run_cgm(
     max_iter: int = 1000,
     exact_flux: BoundaryFlux | None = None,
     callback=None,
-    reset_every: int = 50,
-    max_backtracks: int = 30,
 ) -> CgmReport:
     """Full identification loop; returns the report, never raises on MaxIter.
 
     Per iteration: forward solve, discrepancy check, adjoint gradient,
-    Fletcher-Reeves direction (restart every ``reset_every`` iterations),
+    Fletcher-Reeves direction (restart every ``RESTART_EVERY`` iterations),
     two sensitivity solves, closed-form steps, iterate update.  The
     closed-form steps solve the frozen-coefficient quadratic model, which can
     overshoot when the coefficient reacts to the iterate; a non-decreasing
     candidate therefore falls back to steepest descent and then halves the
-    step until the cost decreases, and only an exhausted backtrack declares
-    stagnation.
+    step until the cost decreases, and only an exhausted backtrack
+    (``MAX_BACKTRACKS`` + 2 trials) declares stagnation.
     """
     grid = problem.grid
     f = init if init is not None else zero_flux(grid)
 
     error_history: list[tuple[float, float]] | None = [] if exact_flux is not None else None
     records: list[dict] = []
-    S1 = S2 = None
-    grad_prev = None
-    stop_reason = StopReason.MAX_ITER
-    k_star = max_iter
+    S1 = S2 = gn_prev = None
     k = 0
 
     _, rep, r1, r2, J = _forward_state(problem, f, obs)
@@ -220,12 +203,10 @@ def run_cgm(
     while True:
         if J <= obs.epsilon_bar:
             stop_reason = StopReason.DISCREPANCY
-            k_star = k
             _record(records, callback, k, J, None, None, None, error_history)
             break
         if k >= max_iter:
             stop_reason = StopReason.MAX_ITER
-            k_star = k
             break
 
         op, g1t, g2t = _adjoint_state(problem, rep.kappa, r1, r2)
@@ -233,28 +214,23 @@ def run_cgm(
         gn = (trace_norm(g1t), trace_norm(g2t))
         if float(np.hypot(*gn)) == 0.0:
             stop_reason = StopReason.VANISHED_GRADIENT
-            k_star = k
             break
 
-        if k == 0 or (reset_every and k % reset_every == 0) or grad_prev is None:
+        if k % RESTART_EVERY == 0:
             theta = (0.0, 0.0)
             S1, S2 = -g1, -g2
             on_sd = True
         else:
-            try:
-                theta = fletcher_reeves((g1t, g2t), grad_prev)
-            except VanishedGradient:
-                stop_reason = StopReason.VANISHED_GRADIENT
-                k_star = k
-                break
+            # Fletcher-Reeves per flux; a vanished previous component restarts that flux
+            theta = tuple(n**2 / p**2 if p > 0.0 else 0.0 for n, p in zip(gn, gn_prev))
             S1 = -g1 + theta[0] * S1
             S2 = -g2 + theta[1] * S2
             on_sd = False
         z1, z2 = _advance(op, S1, S2, r1, r2)
 
         accepted = None
-        for _ in range(max_backtracks + 2):
-            f_try = _update_flux(grid, f, z1, S1, z2, S2, problem.bounds)
+        for _ in range(MAX_BACKTRACKS + 2):
+            f_try = _update_flux(grid, f, z1, S1, z2, S2)
             try:
                 _, rep_try, r1_try, r2_try, J_try = _forward_state(problem, f_try, obs)
             except SolverError:
@@ -272,19 +248,18 @@ def run_cgm(
                 z1, z2 = 0.5 * z1, 0.5 * z2
         if accepted is None:
             stop_reason = StopReason.STAGNATED_J
-            k_star = k
             break
 
         _record(records, callback, k, J, gn, (z1, z2), theta, error_history)
         f, rep, r1, r2, J = accepted
-        grad_prev = (g1t, g2t)
+        gn_prev = gn
         k += 1
         J_history.append(J)
         if error_history is not None:
             error_history.append(flux_error(f, exact_flux))
 
     return CgmReport(
-        k_star=k_star,
+        k_star=k,
         J_history=J_history,
         reconstructed=f,
         stop_reason=stop_reason,
@@ -299,16 +274,10 @@ def _advance(op, S1, S2, r1, r2):
     return step_sizes(sens1, sens2, r1, r2)
 
 
-def _update_flux(grid, f, z1, S1, z2, S2, bounds):
-    v1 = f.f1.values + z1 * S1
-    v2 = f.f2.values + z2 * S2
-    if bounds is not None:
-        lo1, hi1, lo2, hi2 = bounds
-        v1 = np.clip(v1, lo1, hi1)
-        v2 = np.clip(v2, lo2, hi2)
+def _update_flux(grid, f, z1, S1, z2, S2):
     return BoundaryFlux(
-        f1=BoundaryTrace(grid, Edge.GAMMA1, v1),
-        f2=BoundaryTrace(grid, Edge.GAMMA2, v2),
+        f1=BoundaryTrace(grid, Edge.GAMMA1, f.f1.values + z1 * S1),
+        f2=BoundaryTrace(grid, Edge.GAMMA2, f.f2.values + z2 * S2),
     )
 
 

@@ -271,13 +271,12 @@ def add_noise(tr: BoundaryTrace, spec: NoiseSpec) -> tuple[BoundaryTrace, float]
 
 
 def noisy_observations(obs: Observations, spec: NoiseSpec) -> Observations:
-    """Attach noisy variants and raise the stop threshold to the realized level."""
-    h1n, eps1 = add_noise(obs.h1, spec)
-    h2n, eps2 = add_noise(obs.h2, NoiseSpec(gamma=spec.gamma, seed=spec.seed + 1))
+    """Replace the traces by noisy ones and raise the stop threshold to the realized level."""
     if spec.gamma == 0.0:
         return obs
-    eps_bar = max(obs.epsilon_bar, 0.5 * (eps1**2 + eps2**2))
-    return Observations(h1=obs.h1, h2=obs.h2, epsilon_bar=eps_bar, h1_noisy=h1n, h2_noisy=h2n)
+    h1, eps1 = add_noise(obs.h1, spec)
+    h2, eps2 = add_noise(obs.h2, NoiseSpec(gamma=spec.gamma, seed=spec.seed + 1))
+    return Observations(h1=h1, h2=h2, epsilon_bar=max(obs.epsilon_bar, 0.5 * (eps1**2 + eps2**2)))
 
 
 PRESETS = {

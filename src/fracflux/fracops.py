@@ -61,16 +61,6 @@ def caputo_left_apply(history: np.ndarray, w: L1Weights) -> np.ndarray:
     return w.scale * np.tensordot(w.b[:n], d[::-1], axes=(0, 0))
 
 
-def caputo_right_via_reversal(history: np.ndarray, w: L1Weights) -> np.ndarray:
-    """Right Caputo derivative at the FIRST level of ``history`` (u^0 .. u^n).
-
-    Implemented through the substitution s = T - t: the right derivative of u
-    at t equals the left derivative of the time-reversed sequence at T - t.
-    """
-    u = np.asarray(history, dtype=float)
-    return caputo_left_apply(u[::-1], w)
-
-
 # the series needs about 360 terms for beta = 0.05 at z = -1
 ML_MAX_TERMS = 1000
 

@@ -18,8 +18,6 @@ import numpy as np
 class Edge(enum.Enum):
     GAMMA1 = "gamma1"  # x = 0, indexed by (j, n)
     GAMMA2 = "gamma2"  # y = 0, indexed by (i, n)
-    GAMMA3 = "gamma3"  # x = 1
-    GAMMA4 = "gamma4"  # y = 1
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,11 @@ class Grid:
 
 
 def edge_size(grid: Grid, edge: Edge) -> int:
-    return grid.ny if edge in (Edge.GAMMA1, Edge.GAMMA3) else grid.nx
+    return grid.ny if edge is Edge.GAMMA1 else grid.nx
 
 
 def edge_spacing(grid: Grid, edge: Edge) -> float:
-    return grid.hy if edge in (Edge.GAMMA1, Edge.GAMMA3) else grid.hx
+    return grid.hy if edge is Edge.GAMMA1 else grid.hx
 
 
 @dataclass(frozen=True)
@@ -179,15 +177,7 @@ def trace_norm(a: BoundaryTrace) -> float:
 
 def restrict_to_edge(fl: Field, edge: Edge) -> BoundaryTrace:
     """Boundary values of a field on one edge, all time levels."""
-    v = fl.values
-    if edge is Edge.GAMMA1:
-        vals = v[0, :, :]
-    elif edge is Edge.GAMMA2:
-        vals = v[:, 0, :]
-    elif edge is Edge.GAMMA3:
-        vals = v[-1, :, :]
-    else:
-        vals = v[:, -1, :]
+    vals = fl.values[0, :, :] if edge is Edge.GAMMA1 else fl.values[:, 0, :]
     return BoundaryTrace(fl.grid, edge, vals.copy())
 
 

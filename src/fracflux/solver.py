@@ -20,7 +20,6 @@ misfit with respect to the two fluxes.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +66,13 @@ class NonlinearProblem:
     g: np.ndarray
     direction: Direction = Direction.FORWARD
 
+    def __post_init__(self):
+        expect = (self.grid.nx, self.grid.ny, self.grid.nt + 1)
+        if np.shape(self.source) != expect:
+            raise ValueError(f"source shape {np.shape(self.source)} != {expect}")
+        if self.flux.grid != self.grid:
+            raise ValueError("flux and problem on different grids")
+
 
 @dataclass(frozen=True)
 class PicardConfig:
@@ -93,7 +99,6 @@ class SolveReport:
 
     eta_star: int
     residual_history: list
-    cpu_seconds: float
     kappa: np.ndarray
 
 
@@ -251,7 +256,6 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     in reflected time; k(|grad u|^2) acts on each level separately, so that
     gives the same sweeps as iterating in the original orientation.
     """
-    start = time.perf_counter()
     grid = problem.grid
     t = slice(None, None, -1) if problem.direction is Direction.BACKWARD else slice(None)
     source, f1, f2 = problem.source[:, :, t], problem.flux.f1.values[:, t], problem.flux.f2.values[:, t]
@@ -283,7 +287,6 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     report = SolveReport(
         eta_star=eta_star,
         residual_history=history,
-        cpu_seconds=time.perf_counter() - start,
         kappa=kappa_from_iterate(problem.model, grid, u_new),
     )
     return Field(grid, u_new), report

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from fracflux.cgm import (
+    RESTART_EVERY,
     InverseProblem,
     Observations,
     StopReason,
-    VanishedGradient,
     cost,
-    fletcher_reeves,
     gradient,
     run_cgm,
     step_sizes,
@@ -118,22 +117,6 @@ def test_gradient_matches_finite_differences(setup):
         assert fd == pytest.approx(pred, rel=1e-6)
 
 
-def test_fletcher_reeves_ratios():
-    g = Grid(nx=5, ny=5, nt=4)
-    v = np.ones((g.ny, g.nt + 1))
-    a = BoundaryTrace(g, Edge.GAMMA1, v)
-    b = BoundaryTrace(g, Edge.GAMMA2, np.ones((g.nx, g.nt + 1)))
-    assert fletcher_reeves((a, b), (a, b)) == pytest.approx((1.0, 1.0))
-    a2 = BoundaryTrace(g, Edge.GAMMA1, 2.0 * v)
-    b2 = BoundaryTrace(g, Edge.GAMMA2, 2.0 * np.ones((g.nx, g.nt + 1)))
-    assert fletcher_reeves((a2, b2), (a, b)) == pytest.approx((4.0, 4.0))
-    z1 = BoundaryTrace(g, Edge.GAMMA1, 0.0 * v)
-    z2 = BoundaryTrace(g, Edge.GAMMA2, np.zeros((g.nx, g.nt + 1)))
-    assert fletcher_reeves((z1, z2), (a, b)) == pytest.approx((0.0, 0.0))
-    with pytest.raises(VanishedGradient):
-        fletcher_reeves((a, b), (z1, z2))
-
-
 def test_step_sizes_decoupled_when_one_direction_is_zero(setup):
     problem, obs, _ = setup
     g = problem.grid
@@ -197,25 +180,77 @@ def test_run_cgm_max_iter_report(setup):
 def test_run_cgm_callback_records(setup):
     problem, obs, _ = setup
     seen = []
-    run_cgm(problem, obs, max_iter=2, callback=seen.append)
-    assert len(seen) == 2
+    rep = run_cgm(problem, obs, max_iter=6, callback=seen.append)
+    assert seen == rep.records and len(seen) == 6
     assert {"k", "J", "grad_norm1", "zeta1", "vartheta1"} <= set(seen[0])
     # the public gradient is the one the loop takes its first step from
     g1, g2 = gradient(zero_flux(problem.grid), obs, problem)
     assert (trace_norm(g1), trace_norm(g2)) == (seen[0]["grad_norm1"], seen[0]["grad_norm2"])
+    # Fletcher-Reeves: vartheta_i = (|g_i^k| / |g_i^(k-1)|)^2, or 0 on a restart
+    # or a steepest-descent retry
+    assert (seen[0]["vartheta1"], seen[0]["vartheta2"]) == (0.0, 0.0)
+    for prev, rec in zip(seen, seen[1:]):
+        theta = (rec["vartheta1"], rec["vartheta2"])
+        if rec["k"] % RESTART_EVERY == 0 or theta == (0.0, 0.0):
+            assert theta == (0.0, 0.0)
+            continue
+        for i in ("1", "2"):
+            ratio = (rec["grad_norm" + i] / prev["grad_norm" + i]) ** 2
+            assert rec["vartheta" + i] == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
 
-def test_run_cgm_respects_bounds(setup):
+def _longer(grid):
+    """Same node counts over twice the time span, so a different grid."""
+    return Grid(grid.nx, grid.ny, grid.nt, t_final=2.0 * grid.t_final)
+
+
+def _obs_on(grid, obs):
+    h1 = BoundaryTrace(grid, Edge.GAMMA1, obs.h1.values)
+    h2 = BoundaryTrace(grid, Edge.GAMMA2, obs.h2.values)
+    return Observations(h1=h1, h2=h2, epsilon_bar=obs.epsilon_bar)
+
+
+def _nonlinear(p, source, flux):
+    return NonlinearProblem(p.grid, p.beta, p.model, source, flux, p.g)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # march slices its inputs to the grid, so a too-large source must be caught up front
+        pytest.param(
+            lambda p, o: NonlinearProblem(
+                Grid(6, 6, 5), 0.5, p.model, np.zeros((9, 9, 13)), zero_flux(Grid(6, 6, 5)), np.zeros((6, 6))
+            ),
+            id="source-larger-than-grid",
+        ),
+        pytest.param(
+            lambda p, o: _nonlinear(p, p.source[:, :, :-1], zero_flux(p.grid)), id="source-missing-a-level"
+        ),
+        pytest.param(
+            lambda p, o: _nonlinear(p, p.source, zero_flux(Grid(9, 9, 12, t_final=3.0))), id="flux-on-other-grid"
+        ),
+        pytest.param(
+            lambda p, o: InverseProblem(grid=p.grid, beta=p.beta, model=p.model, source=p.source[:-1], g=p.g),
+            id="inverse-source-shape",
+        ),
+        pytest.param(
+            lambda p, o: Observations(h1=o.h2, h2=o.h1, epsilon_bar=o.epsilon_bar), id="obs-swapped-edges"
+        ),
+        pytest.param(
+            lambda p, o: Observations(h1=o.h1, h2=_obs_on(_longer(p.grid), o).h2, epsilon_bar=o.epsilon_bar),
+            id="obs-on-two-grids",
+        ),
+        pytest.param(
+            lambda p, o: cost(zero_flux(p.grid), _obs_on(_longer(p.grid), o), p), id="obs-on-other-grid"
+        ),
+        # an initial flux on another grid must not run on to MaxIter
+        pytest.param(
+            lambda p, o: run_cgm(p, o, init=zero_flux(_longer(p.grid)), max_iter=2), id="init-on-other-grid"
+        ),
+    ],
+)
+def test_inputs_on_mismatched_grids_are_rejected(setup, build):
     problem, obs, _ = setup
-    bounded = InverseProblem(
-        grid=problem.grid,
-        beta=problem.beta,
-        model=problem.model,
-        source=problem.source,
-        g=problem.g,
-        picard=problem.picard,
-        bounds=(-0.05, 0.05, -0.05, 0.05),
-    )
-    rep = run_cgm(bounded, obs, max_iter=10)
-    assert np.all(rep.reconstructed.f1.values >= -0.05)
-    assert np.all(rep.reconstructed.f1.values <= 0.05)
+    with pytest.raises(ValueError):
+        build(problem, obs)

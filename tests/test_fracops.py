@@ -10,7 +10,6 @@ from scipy.special import erfcx
 
 from fracflux.fracops import (
     caputo_left_apply,
-    caputo_right_via_reversal,
     l1_weights,
     mittag_leffler,
 )
@@ -104,7 +103,7 @@ def test_left_apply_rejects_short_history():
 
 def test_right_derivative_of_constant_is_zero():
     w = l1_weights(0.5, 0.1, 10)
-    assert caputo_right_via_reversal(np.full(11, 2.0), w) == pytest.approx(0.0, abs=1e-14)
+    assert caputo_left_apply(np.full(11, 2.0)[::-1], w) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_right_derivative_of_decaying_ramp():
@@ -113,17 +112,8 @@ def test_right_derivative_of_decaying_ramp():
     tau, nt = 1e-3, 1000
     w = l1_weights(0.5, tau, nt)
     ts = np.arange(nt + 1) * tau
-    got = caputo_right_via_reversal(1.0 - ts, w)
+    got = caputo_left_apply((1.0 - ts)[::-1], w)
     assert got == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
-
-
-def test_reversal_is_an_involution():
-    w = l1_weights(0.7, 0.05, 20)
-    rng = np.random.default_rng(11)
-    u = rng.normal(size=21)
-    assert caputo_right_via_reversal(u[::-1], w) == pytest.approx(
-        caputo_left_apply(u, w), rel=1e-14
-    )
 
 
 def test_right_derivative_power_identity():
@@ -131,7 +121,7 @@ def test_right_derivative_power_identity():
     beta, tau, nt = 0.4, 5e-4, 2000
     w = l1_weights(beta, tau, nt)
     ts = np.arange(nt + 1) * tau
-    got = caputo_right_via_reversal((1.0 - ts) ** (2 * beta), w)
+    got = caputo_left_apply(((1.0 - ts) ** (2 * beta))[::-1], w)
     want = math.gamma(2 * beta + 1) / math.gamma(beta + 1)
     assert got == pytest.approx(want, rel=5e-3)
 
@@ -153,8 +143,8 @@ def _accurate_where_accepted(beta, exact):
 
 def test_mittag_leffler_exponential_case():
     z = np.array([-1.0, -2.0, -3.0])
-    assert mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert mittag_leffler(1.0, z) == pytest.approx(np.exp(z), rel=1e-12)
+    assert mittag_leffler(1.0, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
+    assert mittag_leffler(1.0, z) == pytest.approx(np.exp(z), rel=1e-12, abs=0.0)
     _accurate_where_accepted(1.0, np.exp)
     with pytest.raises(ValueError):
         mittag_leffler(1.0, -10.0)  # e^10 of cancellation in the series
@@ -170,7 +160,7 @@ def test_mittag_leffler_half_order_matches_erfcx_or_raises():
     # E_{1/2}(-x) = erfcx(x); the series returns 5e41 at x = 10 unless it
     # refuses an argument where cancellation ruins it
     x = np.linspace(0.0, 2.0, 21)
-    assert mittag_leffler(0.5, -x) == pytest.approx(erfcx(x), rel=1e-12)
+    assert mittag_leffler(0.5, -x) == pytest.approx(erfcx(x), rel=1e-12, abs=0.0)
     _accurate_where_accepted(0.5, lambda z: erfcx(-z))
     with pytest.raises(ValueError):
         mittag_leffler(0.5, -10.0)
@@ -181,7 +171,7 @@ def test_mittag_leffler_half_order_matches_erfcx_or_raises():
 def test_mittag_leffler_small_order_converges_or_raises():
     # beta = 0.05 needs about 360 terms at z = -1; further out the series
     # does not converge within its term budget
-    assert mittag_leffler(0.05, -1.0) == pytest.approx(0.49278415120025198, rel=1e-12)
+    assert mittag_leffler(0.05, -1.0) == pytest.approx(0.49278415120025198, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         mittag_leffler(0.05, -2.0)
 

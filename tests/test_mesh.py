@@ -119,7 +119,7 @@ def test_trace_inner_rejects_mismatch(grid):
 
 def test_restrict_to_edge_constant_and_profile(grid):
     c = Field(grid, np.full((grid.nx, grid.ny, grid.nt + 1), 2.5))
-    assert np.all(restrict_to_edge(c, Edge.GAMMA3).values == 2.5)
+    assert np.all(restrict_to_edge(c, Edge.GAMMA2).values == 2.5)
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     fl = Field(grid, np.repeat(((1 - X) * (1 - Y))[:, :, None], grid.nt + 1, axis=2))
     tr = restrict_to_edge(fl, Edge.GAMMA1)
