@@ -2,7 +2,7 @@
 adjoint-based conjugate gradient identification of its two boundary fluxes."""
 
 from .cgm import CgmReport, InverseProblem, Observations, StopReason, cost, gradient, run_cgm
-from .fracops import L1Weights, caputo_left_apply, l1_weights, mittag_leffler
+from .fracops import L1Weights, l1_weights, mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated, validate_class_K
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
@@ -40,7 +40,6 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "Tabulated",
-    "caputo_left_apply",
     "l1_weights",
     "mittag_leffler",
     "solve_nonlinear",

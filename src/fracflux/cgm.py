@@ -51,8 +51,8 @@ class Observations:
     epsilon_bar: float
 
     def __post_init__(self):
-        if self.epsilon_bar <= 0.0:
-            raise ValueError("epsilon_bar must be positive")
+        if not 0.0 < self.epsilon_bar < np.inf:  # also false for nan
+            raise ValueError("epsilon_bar must be positive and finite")
         if self.h1.edge is not Edge.GAMMA1 or self.h2.edge is not Edge.GAMMA2:
             raise ValueError("h1 must live on Gamma1 and h2 on Gamma2")
         if self.h1.grid != self.h2.grid:

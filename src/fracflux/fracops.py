@@ -1,10 +1,10 @@
 """Discrete fractional time derivatives (L1 scheme) and a Mittag-Leffler evaluator.
 
-The left-sided derivative of order ``beta`` in (0, 1) is discretized on a
-uniform time grid by the standard L1 scheme.  The right-sided derivative is
-obtained by reversing the sequence in time, which makes the pair an exact
-discrete transpose (up to boundary terms that vanish for zero initial/final
-values).
+The left Caputo derivative of order ``beta`` in (0, 1) is discretized on a
+uniform time grid by the standard L1 scheme.  ``L1Weights`` owns its memory
+term in both directions: ``history`` is the sum over past increments that the
+forward march subtracts at each level, and ``history_transpose`` is its exact
+transpose, the sum over later levels that the backward adjoint recursion adds.
 """
 
 from __future__ import annotations
@@ -19,17 +19,24 @@ import numpy as np
 class L1Weights:
     """Weight table for the L1 discretization of a Caputo derivative.
 
-    ``b[j] = (j+1)^(1-beta) - j^(1-beta)`` and ``scale = tau^-beta / Gamma(2-beta)``.
+    ``b[j] = (j+1)^(1-beta) - j^(1-beta)``, ``db[q-1] = b[q-1] - b[q] > 0`` and
+    ``scale = tau^-beta / Gamma(2-beta)``.  With increments
+    ``d[m] = u^{m+1} - u^m`` the derivative at level n is
+    ``scale * (d[n-1] + history(d, n))``.
     """
 
-    beta: float
-    tau: float
     b: np.ndarray
+    db: np.ndarray
     scale: float
 
-    @property
-    def nt(self) -> int:
-        return len(self.b)
+    def history(self, d: np.ndarray, n: int):
+        """Memory sum ``sum_{j=1}^{n-1} b_j d[n-1-j]`` over axis 0 of ``d``."""
+        return self.b[1:n] @ d[: n - 1][::-1]
+
+    def history_transpose(self, lam: np.ndarray, n: int):
+        """Transposed memory sum ``sum_{q=1}^{nt-n} (b_{q-1} - b_q) lam[n+q]``."""
+        nt = len(self.b)
+        return self.db[: nt - n] @ lam[n + 1 : nt + 1]
 
 
 def l1_weights(beta: float, tau: float, nt: int) -> L1Weights:
@@ -41,24 +48,7 @@ def l1_weights(beta: float, tau: float, nt: int) -> L1Weights:
     j = np.arange(nt, dtype=float)
     b = (j + 1.0) ** (1.0 - beta) - j ** (1.0 - beta)
     scale = tau ** (-beta) / math.gamma(2.0 - beta)
-    return L1Weights(beta=beta, tau=tau, b=b, scale=scale)
-
-
-def caputo_left_apply(history: np.ndarray, w: L1Weights) -> np.ndarray:
-    """L1 approximation of the left Caputo derivative at the last time level.
-
-    ``history`` holds u^0 .. u^n along axis 0 (n >= 1); trailing axes are
-    carried through, so whole spatial fields can be differentiated at once.
-    """
-    u = np.asarray(history, dtype=float)
-    n = u.shape[0] - 1
-    if n < 1:
-        raise ValueError("history must contain at least two time levels")
-    if n > w.nt:
-        raise ValueError("history longer than the weight table")
-    d = np.diff(u, axis=0)  # d[m] = u^{m+1} - u^m
-    # sum_{j=0}^{n-1} b_j (u^{n-j} - u^{n-j-1}) = sum_j b_j d[n-1-j]
-    return w.scale * np.tensordot(w.b[:n], d[::-1], axes=(0, 0))
+    return L1Weights(b=b, db=b[:-1] - b[1:], scale=scale)
 
 
 # the series needs about 360 terms for beta = 0.05 at z = -1

@@ -111,6 +111,11 @@ def _check_g(grid: Grid, g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _check_shape(name: str, a, expect: tuple) -> None:
+    if np.shape(a) != expect:
+        raise SolverError(f"{name} shape {np.shape(a)} != {expect}")
+
+
 class GridOperator:
     """Per-level systems (scale*V + L_n) for a fixed coefficient history.
 
@@ -189,6 +194,9 @@ class GridOperator:
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
+        _check_shape("source", source, (grid.nx, grid.ny, nt + 1))
+        _check_shape("f1", f1, (grid.ny, nt + 1))
+        _check_shape("f2", f2, (grid.nx, nt + 1))
         g = _check_g(grid, g)
         out = np.zeros((grid.nx, grid.ny, nt + 1))
         out[:, :, 0] = g
@@ -200,8 +208,7 @@ class GridOperator:
         row1, row2 = self.P[0, :], self.P[:, 0]
         for n in range(1, nt + 1):
             rhs = self.vol * (source[:mx, :my, n].ravel() + s * u[n - 1])
-            if n > 1:
-                rhs -= s * self.vol * (w.b[1:n] @ diffs[: n - 1][::-1])
+            rhs -= s * self.vol * w.history(diffs, n)
             rhs[row1] -= f1[:my, n] * self.dyc
             rhs[row2] -= f2[:mx, n] * self.dxc
             un = self._lu(n).solve(rhs)
@@ -224,11 +231,12 @@ class GridOperator:
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
+        _check_shape("r1", r1, (grid.ny, nt + 1))
+        _check_shape("r2", r2, (grid.nx, nt + 1))
         m = mx * my
         wt = time_weights(grid)
         c1 = edge_weights(grid, Edge.GAMMA1)
         c2 = edge_weights(grid, Edge.GAMMA2)
-        db = w.b[:-1] - w.b[1:]  # db[q-1] = b_{q-1} - b_q > 0
         lam = np.zeros((nt + 1, m))
         s = w.scale
         row1, row2 = self.P[0, :], self.P[:, 0]
@@ -236,9 +244,7 @@ class GridOperator:
             rhs = np.zeros(m)
             rhs[row1] += wt[n] * c1[:my] * r1[:my, n]
             rhs[row2] += wt[n] * c2[:mx] * r2[:mx, n]
-            nq = nt - n
-            if nq:
-                rhs += s * self.vol * (db[:nq] @ lam[n + 1 : nt + 1])
+            rhs += s * self.vol * w.history_transpose(lam, n)
             lam[n] = self._lu(n).solve(rhs)
         g1 = np.zeros((grid.ny, nt + 1))
         g2 = np.zeros((grid.nx, nt + 1))

