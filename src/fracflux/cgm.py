@@ -83,17 +83,37 @@ class StopReason(enum.Enum):
     VANISHED_GRADIENT = "VanishedGradient"
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """One row of the iteration log; the field order is the column order of ``convergence.csv``.
+
+    The row of a discrepancy stop has no gradient, step or direction, so those
+    fields are 0.0; the flux errors are 0.0 when no exact flux was given.
+    """
+
+    k: int
+    J: float
+    grad_norm1: float
+    grad_norm2: float
+    zeta1: float
+    zeta2: float
+    vartheta1: float
+    vartheta2: float
+    err1: float
+    err2: float
+
+
 @dataclass
 class CgmReport:
     k_star: int
     J_history: list
     reconstructed: BoundaryFlux
     stop_reason: StopReason
-    error_history: list | None = None
-    records: list | None = None
+    records: list[IterationRecord]
 
 
 def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observations):
+    """Frozen coefficient, boundary residuals and misfit of the forward solve at ``flux``."""
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
     nl = NonlinearProblem(
@@ -112,12 +132,12 @@ def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observation
         trace_norm(BoundaryTrace(g, Edge.GAMMA1, r1)) ** 2
         + trace_norm(BoundaryTrace(g, Edge.GAMMA2, r2)) ** 2
     )
-    return u, rep, r1, r2, J
+    return rep.kappa, r1, r2, J
 
 
 def cost(f: BoundaryFlux, obs: Observations, problem: InverseProblem) -> float:
     """Boundary misfit (1/2) sum_i ||u(f)|_Gamma_i - h_i||^2."""
-    return _forward_state(problem, f, obs)[4]
+    return _forward_state(problem, f, obs)[3]
 
 
 def _adjoint_state(problem: InverseProblem, kappa: np.ndarray, r1: np.ndarray, r2: np.ndarray):
@@ -130,8 +150,8 @@ def _adjoint_state(problem: InverseProblem, kappa: np.ndarray, r1: np.ndarray, r
 
 def gradient(f: BoundaryFlux, obs: Observations, problem: InverseProblem):
     """Misfit gradient with respect to (f1, f2) as L2 boundary traces."""
-    _, rep, r1, r2, _ = _forward_state(problem, f, obs)
-    return _adjoint_state(problem, rep.kappa, r1, r2)[1:]
+    kappa, r1, r2, _ = _forward_state(problem, f, obs)
+    return _adjoint_state(problem, kappa, r1, r2)[1:]
 
 
 def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
@@ -149,7 +169,9 @@ def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tu
 
     ``sens1``/``sens2`` are the linearized responses to the two search
     directions; ``r1``/``r2`` the current boundary residuals.  Falls back to
-    the decoupled single-flux formulas when the system is degenerate.
+    the decoupled single-flux formulas when the system is degenerate,
+    |R2^2 - R1 R4| <= 1e-14 R1 R4; the test is relative, so it does not
+    depend on the scale of the data, and it holds whenever R1 or R4 is 0.
     """
     g = sens1.grid
     a = [restrict_to_edge(sens1, Edge.GAMMA1), restrict_to_edge(sens1, Edge.GAMMA2)]
@@ -161,7 +183,7 @@ def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tu
     R4 = sum(trace_inner(x, x) for x in b)
     R5 = sum(trace_inner(x, y) for x, y in zip(b, r))
     den = R2 * R2 - R1 * R4
-    if abs(den) < 1e-14 * max(R1 * R4, 1.0):
+    if abs(den) <= 1e-14 * R1 * R4:
         z1 = -R3 / R1 if R1 > 0.0 else 0.0
         z2 = -R5 / R4 if R4 > 0.0 else 0.0
         return z1, z2
@@ -174,7 +196,6 @@ def run_cgm(
     init: BoundaryFlux | None = None,
     max_iter: int = 1000,
     exact_flux: BoundaryFlux | None = None,
-    callback=None,
 ) -> CgmReport:
     """Full identification loop; returns the report, never raises on MaxIter.
 
@@ -185,31 +206,31 @@ def run_cgm(
     overshoot when the coefficient reacts to the iterate; a non-decreasing
     candidate therefore falls back to steepest descent and then halves the
     step until the cost decreases, and only an exhausted backtrack
-    (``MAX_BACKTRACKS`` + 2 trials) declares stagnation.
+    (``MAX_BACKTRACKS`` + 2 trials) declares stagnation.  Every accepted step
+    and a discrepancy stop log one ``IterationRecord``; with ``exact_flux``
+    the records carry the flux errors of the iterate they start from.
     """
     grid = problem.grid
     f = init if init is not None else zero_flux(grid)
 
-    error_history: list[tuple[float, float]] | None = [] if exact_flux is not None else None
-    records: list[dict] = []
+    records: list[IterationRecord] = []
     S1 = S2 = gn_prev = None
     k = 0
 
-    _, rep, r1, r2, J = _forward_state(problem, f, obs)
+    kappa, r1, r2, J = _forward_state(problem, f, obs)
     J_history = [J]
-    if error_history is not None:
-        error_history.append(flux_error(f, exact_flux))
 
     while True:
+        errors = flux_error(f, exact_flux) if exact_flux is not None else (0.0, 0.0)
         if J <= obs.epsilon_bar:
             stop_reason = StopReason.DISCREPANCY
-            _record(records, callback, k, J, None, None, None, error_history)
+            records.append(IterationRecord(k, J, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *errors))
             break
         if k >= max_iter:
             stop_reason = StopReason.MAX_ITER
             break
 
-        op, g1t, g2t = _adjoint_state(problem, rep.kappa, r1, r2)
+        op, g1t, g2t = _adjoint_state(problem, kappa, r1, r2)
         g1, g2 = g1t.values, g2t.values
         gn = (trace_norm(g1t), trace_norm(g2t))
         if float(np.hypot(*gn)) == 0.0:
@@ -232,11 +253,11 @@ def run_cgm(
         for _ in range(MAX_BACKTRACKS + 2):
             f_try = _update_flux(grid, f, z1, S1, z2, S2)
             try:
-                _, rep_try, r1_try, r2_try, J_try = _forward_state(problem, f_try, obs)
+                kappa_try, r1_try, r2_try, J_try = _forward_state(problem, f_try, obs)
             except SolverError:
                 J_try = np.inf  # diverging trial step: reject and shrink
             if J_try < J:
-                accepted = (f_try, rep_try, r1_try, r2_try, J_try)
+                accepted = (f_try, kappa_try, r1_try, r2_try, J_try)
                 break
             if not on_sd:
                 # retry the whole step along steepest descent first
@@ -250,20 +271,17 @@ def run_cgm(
             stop_reason = StopReason.STAGNATED_J
             break
 
-        _record(records, callback, k, J, gn, (z1, z2), theta, error_history)
-        f, rep, r1, r2, J = accepted
+        records.append(IterationRecord(k, J, *gn, z1, z2, *theta, *errors))
+        f, kappa, r1, r2, J = accepted
         gn_prev = gn
         k += 1
         J_history.append(J)
-        if error_history is not None:
-            error_history.append(flux_error(f, exact_flux))
 
     return CgmReport(
         k_star=k,
         J_history=J_history,
         reconstructed=f,
         stop_reason=stop_reason,
-        error_history=error_history,
         records=records,
     )
 
@@ -280,20 +298,3 @@ def _update_flux(grid, f, z1, S1, z2, S2):
         f2=BoundaryTrace(grid, Edge.GAMMA2, f.f2.values + z2 * S2),
     )
 
-
-def _record(records, callback, k, J, gn, zeta, theta, error_history):
-    rec = {
-        "k": k,
-        "J": J,
-        "grad_norm1": gn[0] if gn else 0.0,
-        "grad_norm2": gn[1] if gn else 0.0,
-        "zeta1": zeta[0] if zeta else 0.0,
-        "zeta2": zeta[1] if zeta else 0.0,
-        "vartheta1": theta[0] if theta else 0.0,
-        "vartheta2": theta[1] if theta else 0.0,
-    }
-    if error_history:
-        rec["err1"], rec["err2"] = error_history[-1]
-    records.append(rec)
-    if callback is not None:
-        callback(rec)

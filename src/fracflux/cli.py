@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -159,25 +160,10 @@ def _run_invert(example, preset_id, grid, noise, max_iter, out, quiet) -> int:
     start = time.perf_counter()
     report, obs, e1, e2 = _invert_once(example, noise, max_iter)
     wall = time.perf_counter() - start
-    conv_rows = [
-        (
-            r["k"],
-            r["J"],
-            r["grad_norm1"],
-            r["grad_norm2"],
-            r["zeta1"],
-            r["zeta2"],
-            r["vartheta1"],
-            r["vartheta2"],
-            r.get("err1", 0.0),
-            r.get("err2", 0.0),
-        )
-        for r in report.records
-    ]
     write_csv(
         os.path.join(out, "convergence.csv"),
         ["k", "J", "grad_norm1", "grad_norm2", "zeta1", "zeta2", "vartheta1", "vartheta2", "E_f1", "E_f2"],
-        conv_rows,
+        [dataclasses.astuple(r) for r in report.records],
     )
     rec = report.reconstructed
     write_csv(

@@ -74,15 +74,15 @@ def _flux(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> BoundaryFlux:
     )
 
 
-def _rational_model(a: float = 1.0, s_max: float = 2.5, n: int = 4001) -> Tabulated:
-    """Densely tabulated k(s) = 1/(1 + a s) (smooth, monotone decreasing)."""
-    return Tabulated.from_function(lambda s: 1.0 / (1.0 + a * s), s_max, n)
+def _rational_model(s_max: float) -> Tabulated:
+    """Densely tabulated k(s) = 1/(1 + s) (smooth, monotone decreasing)."""
+    return Tabulated.from_function(lambda s: 1.0 / (1.0 + s), s_max)
 
 
 def _separable_example(
-    grid: Grid, beta: float, a: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray, direction: Direction
+    grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray, direction: Direction
 ) -> ForwardExample:
-    """Problem with exact solution V(t) (1-x)(1-y) and k(s) = 1/(1 + a s).
+    """Problem with exact solution V(t) (1-x)(1-y) and k(s) = 1/(1 + s).
 
     ``DV`` is the fractional derivative of the time factor ``V`` in the
     orientation of ``direction``.  With s = V^2 ((1-y)^2 + (1-x)^2) the
@@ -92,16 +92,16 @@ def _separable_example(
     X, Y = _meshed(grid)
     psi = (1.0 - X) * (1.0 - Y)
     s = (V**2)[None, None, :] * (((1.0 - Y) ** 2 + (1.0 - X) ** 2)[:, :, None])
-    kp = -a / (1.0 + a * s) ** 2
+    kp = -1.0 / (1.0 + s) ** 2
     F = psi[:, :, None] * (DV[None, None, :] - 4.0 * V[None, None, :] ** 3 * kp)
     s1 = np.outer((1.0 - grid.ys) ** 2 + 1.0, V**2)
-    f1 = -(1.0 / (1.0 + a * s1)) * np.outer(1.0 - grid.ys, V)
+    f1 = -(1.0 / (1.0 + s1)) * np.outer(1.0 - grid.ys, V)
     s2 = np.outer(1.0 + (1.0 - grid.xs) ** 2, V**2)
-    f2 = -(1.0 / (1.0 + a * s2)) * np.outer(1.0 - grid.xs, V)
+    f2 = -(1.0 / (1.0 + s2)) * np.outer(1.0 - grid.xs, V)
     problem = NonlinearProblem(
         grid=grid,
         beta=beta,
-        model=_rational_model(a),
+        model=_rational_model(2.5),
         source=F,
         flux=_flux(grid, f1, f2),
         g=g,
@@ -111,7 +111,7 @@ def _separable_example(
     return ForwardExample(problem=problem, exact=exact)
 
 
-def make_forward_example1(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
+def make_forward_example1(beta: float, grid: Grid) -> ForwardExample:
     """Direct problem with exact solution E_beta(-t^beta) (1-x)(1-y).
 
     The time factor solves the fractional relaxation equation, so its
@@ -119,10 +119,10 @@ def make_forward_example1(beta: float, grid: Grid, a: float = 1.0) -> ForwardExa
     """
     E = np.asarray(mittag_leffler(beta, -grid.ts**beta))
     X, Y = _meshed(grid)
-    return _separable_example(grid, beta, a, E, -E, (1.0 - X) * (1.0 - Y), Direction.FORWARD)
+    return _separable_example(grid, beta, E, -E, (1.0 - X) * (1.0 - Y), Direction.FORWARD)
 
 
-def make_adjoint_example2(beta: float, grid: Grid, a: float = 1.0) -> ForwardExample:
+def make_adjoint_example2(beta: float, grid: Grid) -> ForwardExample:
     """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
 
     The right-sided fractional derivative of the time factor is
@@ -132,7 +132,7 @@ def make_adjoint_example2(beta: float, grid: Grid, a: float = 1.0) -> ForwardExa
     V = (T - grid.ts) ** (2.0 * beta)
     c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
     DV = c * (T - grid.ts) ** beta
-    return _separable_example(grid, beta, a, V, DV, np.zeros((grid.nx, grid.ny)), Direction.BACKWARD)
+    return _separable_example(grid, beta, V, DV, np.zeros((grid.nx, grid.ny)), Direction.BACKWARD)
 
 
 def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
@@ -173,7 +173,7 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     problem = InverseProblem(
         grid=grid,
         beta=beta,
-        model=_rational_model(a=1.0, s_max=2.0),
+        model=_rational_model(2.0),
         source=F,
         g=np.zeros((grid.nx, grid.ny)),
     )
@@ -219,7 +219,7 @@ def _guarded_inverse_example(
     grid: Grid, beta: float, model: PlasticityModel
 ) -> InverseExample:
     F, exact_flux = _example2_data(grid)
-    fine = grid.refined(2)
+    fine = grid.refined()
     F_fine, flux_fine = _example2_data(fine)
     problem = InverseProblem(grid=grid, beta=beta, model=model, source=F, g=np.zeros((grid.nx, grid.ny)))
     h1, h2 = _synthesize_observations(grid, beta, model, F_fine, flux_fine, problem.picard)
@@ -280,10 +280,10 @@ def noisy_observations(obs: Observations, spec: NoiseSpec) -> Observations:
 
 
 PRESETS = {
-    "Fwd1": lambda grid, beta=0.3: make_forward_example1(beta, grid),
-    "Adj2": lambda grid, beta=0.3: make_adjoint_example2(beta, grid),
-    "Inv1": lambda grid, beta=0.3: make_inverse_example1(beta, grid),
-    "Inv2": lambda grid, beta=0.3: make_inverse_example2(grid, beta),
-    "Inv3Soft": lambda grid, beta=0.5: make_inverse_example3("soft", grid, beta),
-    "Inv3Stiff": lambda grid, beta=0.5: make_inverse_example3("stiff", grid, beta),
+    "Fwd1": lambda grid, beta: make_forward_example1(beta, grid),
+    "Adj2": lambda grid, beta: make_adjoint_example2(beta, grid),
+    "Inv1": lambda grid, beta: make_inverse_example1(beta, grid),
+    "Inv2": lambda grid, beta: make_inverse_example2(grid, beta),
+    "Inv3Soft": lambda grid, beta: make_inverse_example3("soft", grid, beta),
+    "Inv3Stiff": lambda grid, beta: make_inverse_example3("stiff", grid, beta),
 }

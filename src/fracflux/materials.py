@@ -119,28 +119,23 @@ class ClassKReport:
         return self.c0 > 0.0 and self.monotone_ok and self.plateau_ok
 
 
-def validate_class_K(
-    model: PlasticityModel,
-    t_sq_range: tuple[float, float],
-    samples: int = 401,
-    slope_tol: float = 1e-10,
-) -> ClassKReport:
-    """Sample the coefficient and report the admissible-class diagnostics.
+def validate_class_K(model: PlasticityModel, t_sq_range: tuple[float, float]) -> ClassKReport:
+    """Sample the coefficient at 401 points and report the admissible-class diagnostics.
 
     Reports the empirical bounds, whether finite-difference k' stays below
-    ``slope_tol``, and whether an elastic plateau exists at the left end of
-    the range (at least two leading samples equal).
+    1e-10 max(|k(lo)|, 1), and whether an elastic plateau exists at the left
+    end of the range (at least two leading samples equal).
     """
     lo, hi = t_sq_range
-    if not 0.0 <= lo < hi or samples < 3:
-        raise ValueError("need 0 <= lo < hi and >= 3 samples")
-    s = np.linspace(lo, hi, samples)
+    if not 0.0 <= lo < hi:
+        raise ValueError("need 0 <= lo < hi")
+    s = np.linspace(lo, hi, 401)
     k = np.asarray(model.k(s), dtype=float)
     dk = np.diff(k) / np.diff(s)
     plateau = bool(abs(k[1] - k[0]) <= 1e-9 * max(abs(k[0]), 1e-300))
     return ClassKReport(
         c0=float(k.min()),
         c1=float(k.max()),
-        monotone_ok=bool(np.all(dk <= slope_tol * max(abs(k[0]), 1.0))),
+        monotone_ok=bool(np.all(dk <= 1e-10 * max(abs(k[0]), 1.0))),
         plateau_ok=plateau,
     )

@@ -70,12 +70,12 @@ class Grid:
         nt = round(t_final / tau)
         return cls(nx=n, ny=n, nt=nt, t_final=t_final)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Grid with mesh and step sizes divided by ``factor``."""
+    def refined(self) -> "Grid":
+        """Grid with mesh and step sizes halved."""
         return Grid(
-            nx=(self.nx - 1) * factor + 1,
-            ny=(self.ny - 1) * factor + 1,
-            nt=self.nt * factor,
+            nx=(self.nx - 1) * 2 + 1,
+            ny=(self.ny - 1) * 2 + 1,
+            nt=self.nt * 2,
             t_final=self.t_final,
         )
 

@@ -41,12 +41,11 @@ from .mesh import (
 
 
 class SolverError(RuntimeError):
-    """Assembly or linear-solve failure, with optional diagnostics attached."""
+    """Assembly or linear-solve failure; a failed Picard iteration attaches its residuals."""
 
-    def __init__(self, message, residual_history=None, level=None):
+    def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = residual_history
-        self.level = level
 
 
 class Direction(enum.Enum):
@@ -95,17 +94,24 @@ class PicardConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one nonlinear solve, including the final frozen coefficient."""
+    """Outcome of one nonlinear solve, including the final frozen coefficient.
+
+    ``converged`` is True only when the H1 increment reached ``theta_bar``; a
+    solve that stopped at ``fixed_iters`` sweeps reports False.
+    """
 
     eta_star: int
     residual_history: list
     kappa: np.ndarray
+    converged: bool
 
 
 def _check_g(grid: Grid, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.nx, grid.ny):
         raise SolverError(f"initial/final slice shape {g.shape} != {(grid.nx, grid.ny)}")
+    if not np.all(np.isfinite(g)):
+        raise SolverError("initial/final data must be finite")
     if np.max(np.abs(g[-1, :])) > 0.0 or np.max(np.abs(g[:, -1])) > 0.0:
         raise SolverError("initial/final data must vanish on the Dirichlet edges")
     return g
@@ -182,7 +188,7 @@ class GridOperator:
             try:
                 lu = splu(self._assemble(n))
             except RuntimeError as exc:  # pragma: no cover - singular system
-                raise SolverError(f"factorization failed at level {n}: {exc}", level=n)
+                raise SolverError(f"factorization failed at level {n}: {exc}")
             self._lus[gid] = lu
         return lu
 
@@ -200,23 +206,21 @@ class GridOperator:
         g = _check_g(grid, g)
         out = np.zeros((grid.nx, grid.ny, nt + 1))
         out[:, :, 0] = g
-        m = mx * my
-        u = np.zeros((nt + 1, m))
-        u[0] = g[:mx, :my].ravel()
-        diffs = np.zeros((nt, m))  # diffs[q-1] = u^q - u^{q-1}
+        prev = g[:mx, :my].ravel()  # the unknowns of level n-1
+        diffs = np.zeros((nt, mx * my))  # diffs[q-1] = u^q - u^{q-1}
         s = w.scale
         row1, row2 = self.P[0, :], self.P[:, 0]
         for n in range(1, nt + 1):
-            rhs = self.vol * (source[:mx, :my, n].ravel() + s * u[n - 1])
+            rhs = self.vol * (source[:mx, :my, n].ravel() + s * prev)
             rhs -= s * self.vol * w.history(diffs, n)
             rhs[row1] -= f1[:my, n] * self.dyc
             rhs[row2] -= f2[:mx, n] * self.dxc
             un = self._lu(n).solve(rhs)
             if not np.all(np.isfinite(un)):
-                raise SolverError(f"non-finite solution at level {n}", level=n)
-            u[n] = un
-            diffs[n - 1] = u[n] - u[n - 1]
+                raise SolverError(f"non-finite solution at level {n}")
+            diffs[n - 1] = un - prev
             out[:mx, :my, n] = un.reshape(mx, my)
+            prev = un
         return out
 
     def adjoint_gradient(self, r1: np.ndarray, r2: np.ndarray):
@@ -270,7 +274,6 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     limit = cfg.fixed_iters if cfg.fixed_iters is not None else cfg.max_outer
     rises = 0
     converged = False
-    u_new = u_old
     for _ in range(limit):
         kappa = kappa_from_iterate(problem.model, grid, u_old)
         u_new = GridOperator(grid, problem.beta, kappa).march(source, f1, f2, problem.g)
@@ -294,6 +297,7 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
         eta_star=eta_star,
         residual_history=history,
         kappa=kappa_from_iterate(problem.model, grid, u_new),
+        converged=converged,
     )
     return Field(grid, u_new), report
 

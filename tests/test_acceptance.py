@@ -119,9 +119,9 @@ def test_criterion_04_cgm_monotone_cost_and_vanishing_gradient():
     monotone = all(Js[i + 1] < Js[i] for i in range(len(Js) - 1))
     # the final discrepancy-stop record carries no gradient evaluation
     norms = [
-        math.hypot(r["grad_norm1"], r["grad_norm2"])
+        math.hypot(r.grad_norm1, r.grad_norm2)
         for r in rep.records
-        if r["grad_norm1"] > 0.0 or r["grad_norm2"] > 0.0
+        if r.grad_norm1 > 0.0 or r.grad_norm2 > 0.0
     ]
     drop = norms[0] / min(norms)
     _report(4, f"J decreasing over {len(Js)} values; gradient norm drop {drop:.0f}x")

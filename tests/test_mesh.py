@@ -43,7 +43,7 @@ def test_grid_from_spacing_round_trip():
 
 
 def test_grid_refined_halves_spacings(grid):
-    f = grid.refined(2)
+    f = grid.refined()
     assert (f.nx, f.ny, f.nt) == (21, 17, 20)
     assert f.hx == pytest.approx(grid.hx / 2)
     assert f.tau == pytest.approx(grid.tau / 2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracflux.cgm import InverseProblem
 from fracflux.fracops import l1_weights
 from fracflux.materials import Constant, Tabulated
 from fracflux.mesh import (
@@ -119,6 +120,8 @@ def test_backward_direction_reverses_forward():
     assert bwd.values == pytest.approx(fwd.values[:, :, ::-1], rel=1e-13, abs=1e-13)
     assert bwd_rep.kappa == pytest.approx(fwd_rep.kappa[:, :, ::-1], rel=1e-13, abs=1e-13)
     assert bwd_rep.residual_history == pytest.approx(fwd_rep.residual_history, rel=1e-13)
+    # a sweep cap without a tolerance never counts as converged
+    assert fwd_rep.converged is False and bwd_rep.converged is False
 
 
 def test_rejects_nonpositive_coefficient():
@@ -137,6 +140,12 @@ def test_rejects_incompatible_initial_data():
     f1, f2 = _zero_fluxes(g)
     with pytest.raises(SolverError):
         op.march(src, f1, f2, bad)
+    # non-finite data must raise on a Dirichlet edge too, where nan > 0 is false
+    for node in ((g.nx - 1, 2), (2, 2)):
+        nan = np.zeros((g.nx, g.ny))
+        nan[node] = np.nan
+        with pytest.raises(SolverError):
+            op.march(src, f1, f2, nan)
     # oversized or swapped inputs must not be truncated to the grid
     for call in (
         lambda: op.march(np.zeros((9, 9, 13)), f1, f2, zero),
@@ -161,9 +170,13 @@ def test_nonlinear_constant_model_converges_immediately():
         flux=zero_flux(g),
         g=np.zeros((g.nx, g.ny)),
     )
-    u, report = solve_nonlinear(problem, PicardConfig(theta_bar=1e-12, max_outer=10))
-    assert report.eta_star == 1
-    assert report.residual_history[-1] <= 1e-12
+    # the second config is the inversion default: a tolerance and a sweep cap
+    default = InverseProblem(grid=g, beta=0.5, model=Constant(1.0), source=problem.source, g=problem.g).picard
+    for cfg in (PicardConfig(theta_bar=1e-12, max_outer=10), default):
+        u, report = solve_nonlinear(problem, cfg)
+        assert report.eta_star == 1
+        assert report.residual_history[-1] <= 1e-12
+        assert report.converged is True
 
 
 def test_nonlinear_tabulated_model_converges():
@@ -180,6 +193,7 @@ def test_nonlinear_tabulated_model_converges():
     )
     u, report = solve_nonlinear(problem, PicardConfig(theta_bar=1e-10, max_outer=50))
     assert report.residual_history[-1] <= 1e-10
+    assert report.converged is True
     assert report.kappa.shape == (g.nx, g.ny, g.nt + 1)
 
 
