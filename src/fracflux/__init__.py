@@ -1,7 +1,7 @@
 """Solvers for a nonlinear time-fractional diffusion equation and the
 adjoint-based conjugate gradient identification of its two boundary fluxes."""
 
-from .cgm import CgmReport, InverseProblem, Observations, StopReason, cost, gradient, run_cgm
+from .cgm import CgmReport, Observations, StopReason, cost, gradient, run_cgm
 from .fracops import L1Weights, l1_weights, mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated, validate_class_K
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
@@ -21,7 +21,6 @@ __all__ = [
     "BoundaryTrace",
     "CgmReport",
     "Constant",
-    "InverseProblem",
     "Observations",
     "StopReason",
     "cost",

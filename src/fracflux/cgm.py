@@ -12,23 +12,21 @@ triggers one steepest-descent retry and then step halvings, ``MAX_BACKTRACKS``
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .materials import PlasticityModel
 from .mesh import (
     BoundaryFlux,
     BoundaryTrace,
     Edge,
     Field,
-    Grid,
     restrict_to_edge,
     trace_inner,
     trace_norm,
-    zero_flux,
 )
 from .solver import (
+    Direction,
     GridOperator,
     NonlinearProblem,
     PicardConfig,
@@ -40,6 +38,9 @@ from .solver import (
 
 RESTART_EVERY = 50  # iterations k with k % RESTART_EVERY == 0 take steepest descent
 MAX_BACKTRACKS = 30  # an iteration tries at most MAX_BACKTRACKS + 2 steps before StagnatedJ
+# the inner solve of every forward evaluation in the identification; on a nonlinear
+# model it mostly ends at the 20-sweep cap, which SolveReport.converged reports
+INNER_PICARD = PicardConfig(theta_bar=1e-12, fixed_iters=20)
 
 
 @dataclass(frozen=True)
@@ -57,23 +58,6 @@ class Observations:
             raise ValueError("h1 must live on Gamma1 and h2 on Gamma2")
         if self.h1.grid != self.h2.grid:
             raise ValueError("observations on different grids")
-
-
-@dataclass(frozen=True)
-class InverseProblem:
-    """Everything the flux identification needs besides the flux itself."""
-
-    grid: Grid
-    beta: float
-    model: PlasticityModel
-    source: np.ndarray
-    g: np.ndarray
-    picard: PicardConfig = field(default_factory=lambda: PicardConfig(theta_bar=1e-12, fixed_iters=20))
-
-    def __post_init__(self):
-        expect = (self.grid.nx, self.grid.ny, self.grid.nt + 1)
-        if np.shape(self.source) != expect:
-            raise ValueError(f"source shape {np.shape(self.source)} != {expect}")
 
 
 class StopReason(enum.Enum):
@@ -112,19 +96,13 @@ class CgmReport:
     records: list[IterationRecord]
 
 
-def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observations):
-    """Frozen coefficient, boundary residuals and misfit of the forward solve at ``flux``."""
+def _forward_state(problem: NonlinearProblem, obs: Observations):
+    """Frozen coefficient, boundary residuals and misfit of the forward solve at ``problem.flux``."""
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
-    nl = NonlinearProblem(
-        grid=problem.grid,
-        beta=problem.beta,
-        model=problem.model,
-        source=problem.source,
-        flux=flux,
-        g=problem.g,
-    )
-    u, rep = solve_nonlinear(nl, problem.picard)
+    if problem.direction is Direction.BACKWARD:  # the adjoint transposes a forward march
+        raise ValueError("flux identification needs a forward problem")
+    u, rep = solve_nonlinear(problem, INNER_PICARD)
     r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
     r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values
     g = problem.grid
@@ -135,12 +113,12 @@ def _forward_state(problem: InverseProblem, flux: BoundaryFlux, obs: Observation
     return rep.kappa, r1, r2, J
 
 
-def cost(f: BoundaryFlux, obs: Observations, problem: InverseProblem) -> float:
-    """Boundary misfit (1/2) sum_i ||u(f)|_Gamma_i - h_i||^2."""
-    return _forward_state(problem, f, obs)[3]
+def cost(problem: NonlinearProblem, obs: Observations) -> float:
+    """Boundary misfit (1/2) sum_i ||u(f)|_Gamma_i - h_i||^2 at the problem's flux f."""
+    return _forward_state(problem, obs)[3]
 
 
-def _adjoint_state(problem: InverseProblem, kappa: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+def _adjoint_state(problem: NonlinearProblem, kappa: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     """Operator at the forward solve's coefficient and the misfit gradient traces."""
     op = GridOperator(problem.grid, problem.beta, kappa)
     g1, g2 = op.adjoint_gradient(r1, r2)
@@ -148,9 +126,9 @@ def _adjoint_state(problem: InverseProblem, kappa: np.ndarray, r1: np.ndarray, r
     return op, BoundaryTrace(g, Edge.GAMMA1, g1), BoundaryTrace(g, Edge.GAMMA2, g2)
 
 
-def gradient(f: BoundaryFlux, obs: Observations, problem: InverseProblem):
-    """Misfit gradient with respect to (f1, f2) as L2 boundary traces."""
-    kappa, r1, r2, _ = _forward_state(problem, f, obs)
+def gradient(problem: NonlinearProblem, obs: Observations):
+    """Misfit gradient with respect to (f1, f2) at the problem's flux, as L2 boundary traces."""
+    kappa, r1, r2, _ = _forward_state(problem, obs)
     return _adjoint_state(problem, kappa, r1, r2)[1:]
 
 
@@ -191,13 +169,12 @@ def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tu
 
 
 def run_cgm(
-    problem: InverseProblem,
+    problem: NonlinearProblem,
     obs: Observations,
-    init: BoundaryFlux | None = None,
     max_iter: int = 1000,
     exact_flux: BoundaryFlux | None = None,
 ) -> CgmReport:
-    """Full identification loop; returns the report, never raises on MaxIter.
+    """Identification loop from f^0 = ``problem.flux``; never raises on MaxIter.
 
     Per iteration: forward solve, discrepancy check, adjoint gradient,
     Fletcher-Reeves direction (restart every ``RESTART_EVERY`` iterations),
@@ -211,13 +188,13 @@ def run_cgm(
     the records carry the flux errors of the iterate they start from.
     """
     grid = problem.grid
-    f = init if init is not None else zero_flux(grid)
+    f = problem.flux
 
     records: list[IterationRecord] = []
     S1 = S2 = gn_prev = None
     k = 0
 
-    kappa, r1, r2, J = _forward_state(problem, f, obs)
+    kappa, r1, r2, J = _forward_state(problem, obs)
     J_history = [J]
 
     while True:
@@ -253,7 +230,7 @@ def run_cgm(
         for _ in range(MAX_BACKTRACKS + 2):
             f_try = _update_flux(grid, f, z1, S1, z2, S2)
             try:
-                kappa_try, r1_try, r2_try, J_try = _forward_state(problem, f_try, obs)
+                kappa_try, r1_try, r2_try, J_try = _forward_state(replace(problem, flux=f_try), obs)
             except SolverError:
                 J_try = np.inf  # diverging trial step: reject and shrink
             if J_try < J:

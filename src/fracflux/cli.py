@@ -44,6 +44,28 @@ class ConfigError(ValueError):
     pass
 
 
+class _Config(configparser.ConfigParser):
+    """A parsed INI file that remembers every key the run asked for."""
+
+    def __init__(self):
+        super().__init__()
+        # a flag may stand in for these keys, so they count as read either way
+        self.asked = {("run", "mode"), ("run", "out"), ("noise", "seed")}
+
+    def unused(self) -> list[str]:
+        """The sections the run never read, then the keys it never read in the others."""
+        read = {section for section, _ in self.asked}
+        sections = [f"[{s}]" for s in self.sections() if s not in read]
+        keys = [
+            f"[{s}] {k}"
+            for s in self.sections()
+            if s in read
+            for k in self.options(s)
+            if (s, k) not in self.asked
+        ]
+        return sections + keys
+
+
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -69,8 +91,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default=None, ok=None):
+def _get(cfg: _Config, section: str, key: str, cast, default=None, ok=None):
     """One INI value, cast and checked; a missing key takes ``default``."""
+    cfg.asked.add((section, key))
     if not cfg.has_option(section, key):
         if default is not None:
             return default
@@ -96,7 +119,7 @@ def _finite_list(raw: str) -> list[float]:
     return [_finite(s) for s in raw.split(",") if s.strip()]
 
 
-def _grid_from_config(cfg: configparser.ConfigParser) -> Grid:
+def _grid_from_config(cfg: _Config) -> Grid:
     t_final = _get(cfg, "grid", "t_final", _finite, 1.0)
     if cfg.has_option("grid", "h"):
         h = _get(cfg, "grid", "h", _finite)
@@ -108,7 +131,7 @@ def _grid_from_config(cfg: configparser.ConfigParser) -> Grid:
     return Grid(nx=nx, ny=ny, nt=nt, t_final=t_final)
 
 
-def _picard_from_config(cfg: configparser.ConfigParser) -> PicardConfig:
+def _picard_from_config(cfg: _Config) -> PicardConfig:
     """Picard control for forward/adjoint runs; 0 or absent leaves a key unset."""
     theta = _get(cfg, "picard", "theta_bar", _finite, 0.0, lambda v: v >= 0.0)
     fixed = _get(cfg, "picard", "fixed_iters", int, 0, lambda v: v >= 0)
@@ -220,10 +243,11 @@ def _fail(code: int, message: str) -> int:
 def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
     """Execute one configured run; returns the process exit code.
 
-    Every INI value is read and checked here, before any work starts; the
-    flags given to this function override the file.
+    Every INI value is read and checked here, before any work starts, and a
+    section or key that the run does not read is an error; the flags given
+    to this function override the file.
     """
-    cfg = configparser.ConfigParser()
+    cfg = _Config()
     try:
         if not cfg.read(config_path):
             raise ConfigError(f"cannot read config file {config_path!r}")
@@ -243,6 +267,9 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
         noise = NoiseSpec(gamma=_get(cfg, "noise", "gamma", _finite, 0.0), seed=the_seed)
         gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS)
         sweep = [NoiseSpec(gamma=gamma, seed=the_seed) for gamma in gammas]
+        unused = cfg.unused()
+        if unused:
+            raise ConfigError("not used by this run: " + ", ".join(unused))
     except (ValueError, configparser.Error) as exc:  # Grid and NoiseSpec raise ValueError
         return _fail(EXIT_CONFIG, f"config: {exc}")
     if preset_id not in MODE_PRESETS[run_mode]:

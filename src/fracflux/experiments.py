@@ -11,11 +11,11 @@ discretization).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cgm import InverseProblem, Observations, cost
+from .cgm import INNER_PICARD, Observations, cost
 from .fracops import mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated
 from .mesh import (
@@ -25,8 +25,9 @@ from .mesh import (
     Field,
     Grid,
     trace_norm,
+    zero_flux,
 )
-from .solver import Direction, NonlinearProblem, PicardConfig, solve_nonlinear
+from .solver import Direction, NonlinearProblem, solve_nonlinear
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,12 @@ class ForwardExample:
 
 @dataclass(frozen=True)
 class InverseExample:
-    """A flux-identification problem: inputs, exact fluxes, clean observations."""
+    """A flux-identification problem: inputs, exact fluxes, clean observations.
 
-    problem: InverseProblem
+    The problem's flux is the initial guess f^0 = 0 of the identification.
+    """
+
+    problem: NonlinearProblem
     exact_flux: BoundaryFlux
     observations: Observations
 
@@ -170,11 +174,12 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     # analytic observations on the two measured edges
     h1 = BoundaryTrace(grid, Edge.GAMMA1, np.outer(math.log(2.0) * oyv, tb))
     h2 = BoundaryTrace(grid, Edge.GAMMA2, np.outer(Lx, tb))
-    problem = InverseProblem(
+    problem = NonlinearProblem(
         grid=grid,
         beta=beta,
         model=_rational_model(2.0),
         source=F,
+        flux=zero_flux(grid),
         g=np.zeros((grid.nx, grid.ny)),
     )
     obs = Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN)
@@ -191,40 +196,21 @@ def _example2_data(grid: Grid):
     return F, _flux(grid, f1, f2)
 
 
-def _synthesize_observations(
-    grid: Grid,
-    beta: float,
-    model: PlasticityModel,
-    fine_source: np.ndarray,
-    fine_flux: BoundaryFlux,
-    picard: PicardConfig,
-) -> tuple[BoundaryTrace, BoundaryTrace]:
-    """Solve on the once-refined grid and restrict the boundary traces."""
-    fine = fine_flux.grid
-    problem = NonlinearProblem(
-        grid=fine,
-        beta=beta,
-        model=model,
-        source=fine_source,
-        flux=fine_flux,
-        g=np.zeros((fine.nx, fine.ny)),
-    )
-    u, _ = solve_nonlinear(problem, picard)
-    h1 = BoundaryTrace(grid, Edge.GAMMA1, u.values[0, ::2, ::2].copy())
-    h2 = BoundaryTrace(grid, Edge.GAMMA2, u.values[::2, 0, ::2].copy())
-    return h1, h2
-
-
 def _guarded_inverse_example(
     grid: Grid, beta: float, model: PlasticityModel
 ) -> InverseExample:
     F, exact_flux = _example2_data(grid)
+    problem = NonlinearProblem(grid, beta, model, F, zero_flux(grid), np.zeros((grid.nx, grid.ny)))
+    # observations: solve on the once-refined grid and restrict the boundary traces
     fine = grid.refined()
     F_fine, flux_fine = _example2_data(fine)
-    problem = InverseProblem(grid=grid, beta=beta, model=model, source=F, g=np.zeros((grid.nx, grid.ny)))
-    h1, h2 = _synthesize_observations(grid, beta, model, F_fine, flux_fine, problem.picard)
+    u, _ = solve_nonlinear(
+        NonlinearProblem(fine, beta, model, F_fine, flux_fine, np.zeros((fine.nx, fine.ny))), INNER_PICARD
+    )
+    h1 = BoundaryTrace(grid, Edge.GAMMA1, u.values[0, ::2, ::2].copy())
+    h2 = BoundaryTrace(grid, Edge.GAMMA2, u.values[::2, 0, ::2].copy())
     # attainable misfit floor: the inversion-grid solution at the exact flux
-    floor = cost(exact_flux, Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN), problem)
+    floor = cost(replace(problem, flux=exact_flux), Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN))
     obs = Observations(h1=h1, h2=h2, epsilon_bar=max(EPSILON_BAR_CLEAN, floor))
     return InverseExample(problem=problem, exact_flux=exact_flux, observations=obs)
 
@@ -247,7 +233,8 @@ def make_inverse_example3(case: str, grid: Grid, beta: float = 0.5) -> InverseEx
     Soft: E = 110 GPa, T0^2 = 0.02; stiff: E = 210 GPa, T0^2 = 0.027; both
     with nu = 0.3 and hardening exponent 0.5.  The coefficient is expressed
     in units of the shear compliance 1/G (scale = G), so the elastic plateau
-    is k = 1 and the PDE stays O(1).
+    is k = 1 and the PDE stays O(1).  E and nu cancel in that scaling: both
+    cases give k(s) = max(s/T0^2, 1)^-0.25 and differ only in T0^2.
     """
     if case not in ("soft", "stiff"):
         raise ValueError("case must be 'soft' or 'stiff'")

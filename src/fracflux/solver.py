@@ -288,7 +288,8 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
         u_old = u_new
     if not converged and cfg.fixed_iters is None:
         raise SolverError(
-            f"no convergence to theta_bar={cfg.theta_bar} in {cfg.max_outer} sweeps",
+            f"no convergence to theta_bar={cfg.theta_bar} in {cfg.max_outer} sweeps; "
+            f"last increment {res:.1e}",
             residual_history=history,
         )
     u_new = np.ascontiguousarray(u_new[:, :, t])

@@ -9,6 +9,7 @@ guard used by the synthetic observation generators.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_criterion_03_adjoint_gradient_vs_finite_differences():
         f1=BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1))),
         f2=BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=(g.nx, g.nt + 1))),
     )
-    g1, g2 = gradient(f, obs, problem)
+    g1, g2 = gradient(replace(problem, flux=f), obs)
     eps = 1e-6
     worst = 0.0
     for _ in range(5):
@@ -101,7 +102,7 @@ def test_criterion_03_adjoint_gradient_vs_finite_differences():
             f1=BoundaryTrace(g, Edge.GAMMA1, f.f1.values - eps * d1),
             f2=BoundaryTrace(g, Edge.GAMMA2, f.f2.values - eps * d2),
         )
-        fd = (cost(fp, obs, problem) - cost(fm, obs, problem)) / (2.0 * eps)
+        fd = (cost(replace(problem, flux=fp), obs) - cost(replace(problem, flux=fm), obs)) / (2.0 * eps)
         pred = trace_inner(g1, BoundaryTrace(g, Edge.GAMMA1, d1)) + trace_inner(
             g2, BoundaryTrace(g, Edge.GAMMA2, d2)
         )

@@ -217,7 +217,7 @@ def test_mode_preset_mismatch(tmp_path):
     assert run(cfg, quiet=True) == EXIT_MISMATCH
 
 
-def test_unconverged_picard_is_solver_error(tmp_path):
+def test_unconverged_picard_is_solver_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "run.ini",
         """
@@ -236,6 +236,9 @@ max_outer = 1
 """,
     )
     assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_SOLVER
+    # the message carries the last H1 increment, so a slow but steady
+    # iteration can be told from a stalled one
+    assert "in 1 sweeps; last increment " in capsys.readouterr().err
 
 
 def test_grid_from_spacing_config(tmp_path):
@@ -293,6 +296,31 @@ def test_invalid_value_is_config_error(tmp_path, text):
     cfg = _write_config(tmp_path / "run.ini", text)
     assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, unused",
+    [
+        (FORWARD_CFG.replace("theta_bar = 1e-3", "theta_barr = 1e-9"), "[picard] theta_barr"),
+        (FORWARD_CFG + "\n[problme]\nbeta = 0.9\n", "[problme]"),
+        (
+            FORWARD_CFG.replace("nx = 6\nny = 6", "h = 0.2\ntau = 0.1\nnx = 6\nny = 6"),
+            "[grid] nx, [grid] ny, [grid] nt",
+        ),
+    ],
+    ids=["misspelt_key", "unknown_section", "nx_next_to_h"],
+)
+def test_unused_key_is_config_error(tmp_path, capsys, text, unused):
+    # a key the run never reads would otherwise leave its default in force unannounced
+    cfg = _write_config(tmp_path / "run.ini", text)
+    assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith(f"not used by this run: {unused}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_overridden_keys_count_as_used(tmp_path):
+    cfg = _write_config(tmp_path / "run.ini", INVERT_CFG.replace("[grid]", "out = elsewhere\n\n[grid]"))
+    assert run(cfg, mode="invert", out=str(tmp_path / "out"), seed=7, quiet=True) == 0
 
 
 _GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-1", "0", "1e999", "%(x)s", "%", "1,2"])

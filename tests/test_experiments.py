@@ -1,6 +1,7 @@
 """Tests for the example builders, noise model, and error metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,9 +97,9 @@ def test_inverse_example1_measurements(grid):
 def test_inverse_example1_self_consistency(grid):
     # feeding the exact flux into the cost leaves only discretization error
     ex = make_inverse_example1(0.3, grid)
-    J = cost(ex.exact_flux, ex.observations, ex.problem)
+    J = cost(replace(ex.problem, flux=ex.exact_flux), ex.observations)
     assert J < 1e-4
-    J0 = cost(zero_flux(grid), ex.observations, ex.problem)
+    J0 = cost(ex.problem, ex.observations)
     assert J < 0.01 * J0
 
 
@@ -119,7 +120,7 @@ def test_inverse_example2_threshold_reflects_data_mismatch(grid):
     # grid, so the stop threshold sits above the clean-data default
     ex = make_inverse_example2(grid, beta=0.3)
     assert ex.observations.epsilon_bar >= 1.25e-7
-    J = cost(ex.exact_flux, ex.observations, ex.problem)
+    J = cost(replace(ex.problem, flux=ex.exact_flux), ex.observations)
     assert J <= ex.observations.epsilon_bar * (1.0 + 1e-12)
 
 
@@ -135,6 +136,15 @@ def test_inverse_example3_models(grid):
     assert m_soft.t0_sq == 0.02 and m_stiff.t0_sq == 0.027
     with pytest.raises(ValueError):
         make_inverse_example3("rubber", grid)
+
+
+def test_inverse_example3_normalized_models_depend_only_on_t0_sq():
+    # with scale = G the elastic compliance cancels, so E and nu drop out and
+    # the two materials differ only in their yield threshold T0^2
+    s = np.linspace(0.0, 0.5, 2001)
+    for case, t0_sq in (("soft", 0.02), ("stiff", 0.027)):
+        model = make_inverse_example3(case, Grid(nx=3, ny=3, nt=2)).problem.model
+        assert np.array_equal(model.k(s), np.maximum(s / t0_sq, 1.0) ** -0.25)
 
 
 def test_add_noise_zero_level_is_identity(grid):

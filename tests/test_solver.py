@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.cgm import InverseProblem
+from fracflux.cgm import INNER_PICARD
 from fracflux.fracops import l1_weights
 from fracflux.materials import Constant, Tabulated
 from fracflux.mesh import (
@@ -170,9 +170,8 @@ def test_nonlinear_constant_model_converges_immediately():
         flux=zero_flux(g),
         g=np.zeros((g.nx, g.ny)),
     )
-    # the second config is the inversion default: a tolerance and a sweep cap
-    default = InverseProblem(grid=g, beta=0.5, model=Constant(1.0), source=problem.source, g=problem.g).picard
-    for cfg in (PicardConfig(theta_bar=1e-12, max_outer=10), default):
+    # the second config is the inversion's: a tolerance and a sweep cap
+    for cfg in (PicardConfig(theta_bar=1e-12, max_outer=10), INNER_PICARD):
         u, report = solve_nonlinear(problem, cfg)
         assert report.eta_star == 1
         assert report.residual_history[-1] <= 1e-12
@@ -210,7 +209,9 @@ def test_nonlinear_reports_failure_when_tolerance_unreachable():
     )
     with pytest.raises(SolverError) as info:
         solve_nonlinear(problem, PicardConfig(theta_bar=1e-16, max_outer=4))
-    assert info.value.residual_history is not None
+    history = info.value.residual_history
+    assert len(history) == 4
+    assert str(info.value).endswith(f"in 4 sweeps; last increment {history[-1]:.1e}")
     # a sweep budget below one would return the zero iterate unreported
     for bad in ({"fixed_iters": 0}, {"fixed_iters": -2}, {"max_outer": 0}):
         with pytest.raises(ValueError):
