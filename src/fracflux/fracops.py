@@ -10,7 +10,7 @@ transpose, the sum over later levels that the backward adjoint recursion adds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,16 +22,23 @@ class L1Weights:
     ``b[j] = (j+1)^(1-beta) - j^(1-beta)``, ``db[q-1] = b[q-1] - b[q] > 0`` and
     ``scale = tau^-beta / Gamma(2-beta)``.  With increments
     ``d[m] = u^{m+1} - u^m`` the derivative at level n is
-    ``scale * (d[n-1] + history(d, n))``.
+    ``scale * (d[n-1] + history(d, n))``.  ``b_rev`` is a contiguous copy of
+    ``b`` reversed, so that ``history`` reads ``d`` forward: a negative stride
+    on either operand keeps numpy from handing the product to BLAS.
     """
 
     b: np.ndarray
     db: np.ndarray
     scale: float
+    b_rev: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b_rev", np.ascontiguousarray(self.b[::-1]))
 
     def history(self, d: np.ndarray, n: int):
         """Memory sum ``sum_{j=1}^{n-1} b_j d[n-1-j]`` over axis 0 of ``d``."""
-        return self.b[1:n] @ d[: n - 1][::-1]
+        nt = len(self.b)
+        return self.b_rev[nt - n : nt - 1] @ d[: n - 1]
 
     def history_transpose(self, lam: np.ndarray, n: int):
         """Transposed memory sum ``sum_{q=1}^{nt-n} (b_{q-1} - b_q) lam[n+q]``."""

@@ -127,7 +127,11 @@ class GridOperator:
 
     Levels whose coefficient slices are identical (detected by comparing
     adjacent levels, which covers the constant-coefficient case) share a
-    single LU factorization; factors are built lazily.
+    single LU factorization; factors are built lazily.  ``adjoint_gradient``
+    keeps every factor it builds, for the sensitivity marches that reuse its
+    operator.  A ``march`` keeps its factor only when one coefficient serves
+    every level; otherwise it holds one factor at a time, so a one-shot march
+    frees each factor when it leaves its group.
     """
 
     def __init__(self, grid: Grid, beta: float, kappa: np.ndarray):
@@ -149,11 +153,8 @@ class GridOperator:
         self.dxc, self.dyc = dxc, dyc
         self.vol = np.outer(dxc, dyc).ravel()
         self.P = np.arange(mx * my).reshape(mx, my)
-        group = np.zeros(grid.nt + 1, dtype=int)
-        for n in range(1, grid.nt + 1):
-            same = np.array_equal(kappa[:, :, n], kappa[:, :, n - 1])
-            group[n] = group[n - 1] if same else group[n - 1] + 1
-        self._group = group
+        changed = np.any(kappa[:, :, 1:] != kappa[:, :, :-1], axis=(0, 1))
+        self._group = np.concatenate([[0], np.cumsum(changed)])
         self._lus: dict[int, object] = {}
 
     def _assemble(self, n: int) -> sp.csc_matrix:
@@ -181,22 +182,19 @@ class GridOperator:
         m = mx * my
         return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
 
-    def _lu(self, n: int):
-        gid = self._group[n]
-        lu = self._lus.get(gid)
-        if lu is None:
-            try:
-                lu = splu(self._assemble(n))
-            except RuntimeError as exc:  # pragma: no cover - singular system
-                raise SolverError(f"factorization failed at level {n}: {exc}")
-            self._lus[gid] = lu
-        return lu
+    def _factor(self, n: int):
+        try:
+            return splu(self._assemble(n))
+        except RuntimeError as exc:  # pragma: no cover - singular system
+            raise SolverError(f"factorization failed at level {n}: {exc}")
 
     def march(self, source: np.ndarray, f1: np.ndarray, f2: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Advance all time levels; returns the (nx, ny, nt+1) value array.
 
         ``f1``/``f2`` are flux samples shaped (ny, nt+1) / (nx, nt+1); the
-        Dirichlet endpoint of each is ignored.
+        Dirichlet endpoint of each is ignored.  Uses the factors a previous
+        ``adjoint_gradient`` cached; caches its own factor only when the
+        coefficient is the same on every level.
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
@@ -204,23 +202,36 @@ class GridOperator:
         _check_shape("f1", f1, (grid.ny, nt + 1))
         _check_shape("f2", f2, (grid.nx, nt + 1))
         g = _check_g(grid, g)
-        out = np.zeros((grid.nx, grid.ny, nt + 1))
-        out[:, :, 0] = g
-        prev = g[:mx, :my].ravel()  # the unknowns of level n-1
-        diffs = np.zeros((nt, mx * my))  # diffs[q-1] = u^q - u^{q-1}
-        s = w.scale
+        m = mx * my
         row1, row2 = self.P[0, :], self.P[:, 0]
-        for n in range(1, nt + 1):
-            rhs = self.vol * (source[:mx, :my, n].ravel() + s * prev)
-            rhs -= s * self.vol * w.history(diffs, n)
-            rhs[row1] -= f1[:my, n] * self.dyc
-            rhs[row2] -= f2[:mx, n] * self.dxc
-            un = self._lu(n).solve(rhs)
-            if not np.all(np.isfinite(un)):
-                raise SolverError(f"non-finite solution at level {n}")
-            diffs[n - 1] = un - prev
-            out[:mx, :my, n] = un.reshape(mx, my)
-            prev = un
+        # every level-independent term of the right-hand side, row n-1 for level n
+        base = self.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, m)
+        base[:, row1] -= (f1[:my, 1:] * self.dyc[:, None]).T
+        base[:, row2] -= (f2[:mx, 1:] * self.dxc[:, None]).T
+        svol = w.scale * self.vol
+        U = np.empty((nt + 1, m))  # U[n] = the unknowns of level n
+        U[0] = g[:mx, :my].ravel()
+        diffs = np.zeros((nt, m))  # diffs[q-1] = U[q] - U[q-1]
+        held, lu = -1, None
+        keep = self._group[1] == self._group[nt]  # one factor for every level: the next march reuses it
+        # a non-finite level poisons the later ones; the check after the loop names the first
+        with np.errstate(invalid="ignore", over="ignore"):
+            for n in range(1, nt + 1):
+                if self._group[n] != held:
+                    held = self._group[n]
+                    lu = self._lus.get(held)
+                    if lu is None:
+                        lu = self._factor(n)
+                        if keep:
+                            self._lus[held] = lu
+                U[n] = lu.solve(base[n - 1] + svol * (U[n - 1] - w.history(diffs, n)))
+                np.subtract(U[n], U[n - 1], out=diffs[n - 1])
+        finite = np.isfinite(U).all(axis=1)
+        if not finite.all():
+            raise SolverError(f"non-finite solution at level {int(np.argmin(finite))}")
+        out = np.zeros((grid.nx, grid.ny, nt + 1))
+        out[:mx, :my, :] = U.reshape(nt + 1, mx, my).transpose(1, 2, 0)
+        out[:, :, 0] = g
         return out
 
     def adjoint_gradient(self, r1: np.ndarray, r2: np.ndarray):
@@ -228,10 +239,11 @@ class GridOperator:
 
         ``r1``/``r2`` are boundary residuals u|_Gamma - h shaped like flux
         traces.  Solves the transpose of the marching recursion backward in
-        time (reusing the same factorizations) and returns the gradient in
-        the L2(Gamma x (0,T)) sense, shaped (ny, nt+1) and (nx, nt+1).  The
-        entries at n=0 and at the Dirichlet endpoints are exactly zero: the
-        discrete solution does not depend on those flux samples.
+        time and returns the gradient in the L2(Gamma x (0,T)) sense, shaped
+        (ny, nt+1) and (nx, nt+1).  The entries at n=0 and at the Dirichlet
+        endpoints are exactly zero: the discrete solution does not depend on
+        those flux samples.  The factors it builds stay cached on the
+        operator for the sensitivity marches that follow.
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
@@ -241,15 +253,19 @@ class GridOperator:
         wt = time_weights(grid)
         c1 = edge_weights(grid, Edge.GAMMA1)
         c2 = edge_weights(grid, Edge.GAMMA2)
-        lam = np.zeros((nt + 1, m))
-        s = w.scale
         row1, row2 = self.P[0, :], self.P[:, 0]
+        # the residual terms of every level, row n-1 for level n
+        base = np.zeros((nt, m))
+        base[:, row1] += wt[1:, None] * c1[:my] * r1[:my, 1:].T
+        base[:, row2] += wt[1:, None] * c2[:mx] * r2[:mx, 1:].T
+        svol = w.scale * self.vol
+        lam = np.zeros((nt + 1, m))
         for n in range(nt, 0, -1):
-            rhs = np.zeros(m)
-            rhs[row1] += wt[n] * c1[:my] * r1[:my, n]
-            rhs[row2] += wt[n] * c2[:mx] * r2[:mx, n]
-            rhs += s * self.vol * w.history_transpose(lam, n)
-            lam[n] = self._lu(n).solve(rhs)
+            gid = self._group[n]
+            lu = self._lus.get(gid)
+            if lu is None:
+                lu = self._lus[gid] = self._factor(n)
+            lam[n] = lu.solve(base[n - 1] + svol * w.history_transpose(lam, n))
         g1 = np.zeros((grid.ny, nt + 1))
         g2 = np.zeros((grid.nx, nt + 1))
         g1[:my, 1:] = -(lam[1:, row1] / wt[1:, None]).T
@@ -306,8 +322,9 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
 def solve_sensitivity(op: GridOperator, s1: BoundaryTrace | None = None, s2: BoundaryTrace | None = None) -> Field:
     """Linearized response to the fluxes (s1, s2) with zero source and initial data.
 
-    ``op`` carries the grid, the order and the frozen coefficient, and keeps
-    its factorizations for the next call; a missing flux is zero.
+    ``op`` carries the grid, the order and the frozen coefficient; the march
+    reuses the factors its ``adjoint_gradient`` cached.  A missing flux is
+    zero.
     """
     grid = op.grid
     f1 = s1.values if s1 is not None else np.zeros((grid.ny, grid.nt + 1))

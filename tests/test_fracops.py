@@ -81,6 +81,24 @@ def test_left_apply_linearity(a, b, seed):
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
 
+@pytest.mark.parametrize("nt", [1, 2, 37])
+@pytest.mark.parametrize("cols", [(), (7,)])
+def test_history_is_the_written_out_memory_sum(nt, cols):
+    # sum_{j=1}^{n-1} b_j d[n-1-j] term by term; a reordered sum may differ by
+    # round-off relative to the sum of the magnitudes of its terms
+    w = l1_weights(0.35, 0.02, nt)
+    d = np.random.default_rng(nt).normal(size=(nt, *cols))
+    for n in range(1, nt + 1):
+        want = np.zeros(cols)
+        size = np.zeros(cols)
+        for j in range(1, n):
+            want = want + w.b[j] * d[n - 1 - j]
+            size = size + np.abs(w.b[j] * d[n - 1 - j])
+        got = w.history(d, n)
+        assert np.shape(got) == cols
+        assert np.all(np.abs(got - want) <= 1e-13 * size), n
+
+
 def test_right_derivative_of_constant_is_zero():
     w = l1_weights(0.5, 0.1, 10)
     assert caputo(np.full(11, 2.0)[::-1], w) == pytest.approx(0.0, abs=1e-14)

@@ -2,12 +2,15 @@
 and the adjoint machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+from fracflux import solver
 from fracflux.cgm import INNER_PICARD
 from fracflux.fracops import l1_weights
 from fracflux.materials import Constant, Tabulated
@@ -176,6 +179,54 @@ def test_nonlinear_constant_model_converges_immediately():
         assert report.eta_star == 1
         assert report.residual_history[-1] <= 1e-12
         assert report.converged is True
+
+
+def test_non_finite_level_is_named_without_a_warning():
+    g = Grid(nx=6, ny=6, nt=6)
+    op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
+    src = np.zeros((g.nx, g.ny, g.nt + 1))
+    src[2, 2, 3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite solution at level 3$"):
+            op.march(src, *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+
+
+def test_factors_are_built_once_per_level_and_kept_only_by_the_adjoint(monkeypatch):
+    # march factors each distinct level and keeps nothing; the adjoint caches
+    # its factors, and the sensitivity marches after it reuse every one
+    g = Grid(nx=6, ny=5, nt=7)
+    rng = np.random.default_rng(6)
+    op = GridOperator(g, 0.5, 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1)))
+    factored = []
+    monkeypatch.setattr(solver, "splu", lambda a: factored.append(1) or splu(a))
+    f1, f2 = _zero_fluxes(g)
+    source = rng.normal(size=(g.nx, g.ny, g.nt + 1))
+    op.march(source, f1, f2, np.zeros((g.nx, g.ny)))
+    assert len(factored) == g.nt
+    op.march(source, f1, f2, np.zeros((g.nx, g.ny)))
+    assert len(factored) == 2 * g.nt
+    op.adjoint_gradient(rng.normal(size=f1.shape), rng.normal(size=f2.shape))
+    assert len(factored) == 3 * g.nt
+    solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=f1.shape)))
+    solve_sensitivity(op, s2=BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=f2.shape)))
+    assert len(factored) == 3 * g.nt
+
+
+def test_constant_coefficient_march_keeps_its_one_factor(monkeypatch):
+    # level 0 may differ: it is never solved for
+    g = Grid(nx=6, ny=5, nt=7)
+    kappa = np.full((g.nx, g.ny, g.nt + 1), 1.3)
+    kappa[:, :, 0] = 2.0
+    op = GridOperator(g, 0.5, kappa)
+    factored = []
+    monkeypatch.setattr(solver, "splu", lambda a: factored.append(1) or splu(a))
+    f1, f2 = _zero_fluxes(g)
+    source = np.ones((g.nx, g.ny, g.nt + 1))
+    first = op.march(source, f1, f2, np.zeros((g.nx, g.ny)))
+    assert np.array_equal(op.march(source, f1, f2, np.zeros((g.nx, g.ny))), first)
+    op.adjoint_gradient(f1, f2)
+    assert len(factored) == 1
 
 
 def test_nonlinear_tabulated_model_converges():
