@@ -6,7 +6,6 @@ from .fracops import L1Weights, l1_weights, mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated, validate_class_K
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
-    Direction,
     GridOperator,
     NonlinearProblem,
     PicardConfig,
@@ -26,7 +25,6 @@ __all__ = [
     "cost",
     "gradient",
     "run_cgm",
-    "Direction",
     "Edge",
     "Field",
     "Grid",

@@ -26,7 +26,6 @@ from .mesh import (
     trace_norm,
 )
 from .solver import (
-    Direction,
     GridOperator,
     NonlinearProblem,
     PicardConfig,
@@ -100,8 +99,6 @@ def _forward_state(problem: NonlinearProblem, obs: Observations):
     """Frozen coefficient, boundary residuals and misfit of the forward solve at ``problem.flux``."""
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
-    if problem.direction is Direction.BACKWARD:  # the adjoint transposes a forward march
-        raise ValueError("flux identification needs a forward problem")
     u, rep = solve_nonlinear(problem, INNER_PICARD)
     r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
     r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values

@@ -1,7 +1,8 @@
 """Manufactured problem builders and noise injection.
 
-Forward/terminal validation cases use separable closed-form solutions whose
-source terms follow from the product rule; the flux-identification cases
+The validation cases use separable closed-form solutions whose source terms
+follow from the product rule (the terminal-value case is posed in reversed
+time, where it is an initial-value problem); the flux-identification cases
 either sample closed-form fluxes and boundary data, or synthesize the
 observations by solving the direct problem on a once-refined grid and
 restricting (so the inversion never sees data produced by its own
@@ -27,7 +28,7 @@ from .mesh import (
     trace_norm,
     zero_flux,
 )
-from .solver import Direction, NonlinearProblem, solve_nonlinear
+from .solver import NonlinearProblem, solve_nonlinear
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,19 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:  # also false for nan
+            raise ValueError("noise level must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("noise seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ForwardExample:
-    """A direct (or terminal-value) problem together with its exact solution."""
+    """An initial-value problem together with its exact solution.
+
+    The arrays of both share one time axis: t for ``Fwd1``, the reversed time
+    s = T - t for ``Adj2``.
+    """
 
     problem: NonlinearProblem
     exact: Field
@@ -84,14 +89,14 @@ def _rational_model(s_max: float) -> Tabulated:
 
 
 def _separable_example(
-    grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray, direction: Direction
+    grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray
 ) -> ForwardExample:
     """Problem with exact solution V(t) (1-x)(1-y) and k(s) = 1/(1 + s).
 
-    ``DV`` is the fractional derivative of the time factor ``V`` in the
-    orientation of ``direction``.  With s = V^2 ((1-y)^2 + (1-x)^2) the
-    product rule gives the source F = psi (DV - 4 V^3 k'(s)), and the exact
-    fluxes -k du/dn on the two flux edges follow by substitution.
+    ``DV`` is the fractional derivative of the time factor ``V``.  With
+    s = V^2 ((1-y)^2 + (1-x)^2) the product rule gives the source
+    F = psi (DV - 4 V^3 k'(s)), and the exact fluxes -k du/dn on the two flux
+    edges follow by substitution.
     """
     X, Y = _meshed(grid)
     psi = (1.0 - X) * (1.0 - Y)
@@ -109,7 +114,6 @@ def _separable_example(
         source=F,
         flux=_flux(grid, f1, f2),
         g=g,
-        direction=direction,
     )
     exact = Field(grid, psi[:, :, None] * V[None, None, :])
     return ForwardExample(problem=problem, exact=exact)
@@ -123,20 +127,35 @@ def make_forward_example1(beta: float, grid: Grid) -> ForwardExample:
     """
     E = np.asarray(mittag_leffler(beta, -grid.ts**beta))
     X, Y = _meshed(grid)
-    return _separable_example(grid, beta, E, -E, (1.0 - X) * (1.0 - Y), Direction.FORWARD)
+    return _separable_example(grid, beta, E, -E, (1.0 - X) * (1.0 - Y))
+
+
+def _reversed(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``a`` with its last (time) axis reversed."""
+    return np.ascontiguousarray(a[..., ::-1])
 
 
 def make_adjoint_example2(beta: float, grid: Grid) -> ForwardExample:
     """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
 
     The right-sided fractional derivative of the time factor is
-    Gamma(2 beta + 1)/Gamma(beta + 1) (T-t)^beta.
+    Gamma(2 beta + 1)/Gamma(beta + 1) (T-t)^beta.  In the reversed time
+    s = T - t it is the Caputo derivative in s, so the problem is an
+    initial-value problem with zero data at s = 0.  Every array of the
+    example is indexed by s: level n holds t = T - n tau.  The arrays are
+    built in t and then reversed, which keeps every value bitwise equal to
+    its t-indexed counterpart; evaluating the formulas directly in s moves
+    the source by an ulp.
     """
     T = grid.t_final
     V = (T - grid.ts) ** (2.0 * beta)
     c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
     DV = c * (T - grid.ts) ** beta
-    return _separable_example(grid, beta, V, DV, np.zeros((grid.nx, grid.ny)), Direction.BACKWARD)
+    ex = _separable_example(grid, beta, V, DV, np.zeros((grid.nx, grid.ny)))
+    p = ex.problem
+    flux = _flux(grid, _reversed(p.flux.f1.values), _reversed(p.flux.f2.values))
+    problem = replace(p, source=_reversed(p.source), flux=flux)
+    return ForwardExample(problem=problem, exact=Field(grid, _reversed(ex.exact.values)))
 
 
 def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
@@ -215,7 +234,7 @@ def _guarded_inverse_example(
     return InverseExample(problem=problem, exact_flux=exact_flux, observations=obs)
 
 
-def make_inverse_example2(grid: Grid, beta: float = 0.3) -> InverseExample:
+def make_inverse_example2(grid: Grid, beta: float) -> InverseExample:
     """Identification case without a closed-form solution.
 
     F = sin(2 pi x y), f1 = e^-t (t - t^2) sin(3 pi y), f2 = e^-t (t - t^2)
@@ -227,23 +246,19 @@ def make_inverse_example2(grid: Grid, beta: float = 0.3) -> InverseExample:
     return _guarded_inverse_example(grid, beta, Constant(1.0))
 
 
-def make_inverse_example3(case: str, grid: Grid, beta: float = 0.5) -> InverseExample:
+def make_inverse_example3(case: str, grid: Grid, beta: float) -> InverseExample:
     """Ramberg-Osgood materials driven by the same fluxes as the implicit case.
 
     Soft: E = 110 GPa, T0^2 = 0.02; stiff: E = 210 GPa, T0^2 = 0.027; both
-    with nu = 0.3 and hardening exponent 0.5.  The coefficient is expressed
-    in units of the shear compliance 1/G (scale = G), so the elastic plateau
-    is k = 1 and the PDE stays O(1).  E and nu cancel in that scaling: both
-    cases give k(s) = max(s/T0^2, 1)^-0.25 and differ only in T0^2.
+    with nu = 0.3 and hardening exponent 0.5.  The coefficient is in units of
+    the shear compliance 1/G, so the elastic plateau is k = 1 and the PDE
+    stays O(1).  E and nu cancel in those units: both cases have
+    k(s) = max(s/T0^2, 1)^-0.25 and differ only in T0^2.
     """
     if case not in ("soft", "stiff"):
         raise ValueError("case must be 'soft' or 'stiff'")
-    e_young, t0_sq = (110.0, 0.02) if case == "soft" else (210.0, 0.027)
-    model = RambergOsgood(e_young=e_young, nu=0.3, t0_sq=t0_sq, hardening=0.5)
-    model = RambergOsgood(
-        e_young=e_young, nu=0.3, t0_sq=t0_sq, hardening=0.5, scale=model.shear_modulus
-    )
-    return _guarded_inverse_example(grid, beta, model)
+    t0_sq = 0.02 if case == "soft" else 0.027
+    return _guarded_inverse_example(grid, beta, RambergOsgood(t0_sq=t0_sq, hardening=0.5))
 
 
 def add_noise(tr: BoundaryTrace, spec: NoiseSpec) -> tuple[BoundaryTrace, float]:

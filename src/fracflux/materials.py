@@ -1,9 +1,9 @@
 """Plasticity coefficient models k(T^2) and admissibility checking.
 
 Three model kinds: a constant coefficient, the Ramberg-Osgood engineering
-material law (elastic plateau 1/G followed by a power-law decay beyond the
-yield threshold T0^2), and a tabulated law with monotone piecewise-linear
-interpolation.  The admissible class requires positive two-sided bounds, a
+material law in units of the shear compliance (elastic plateau 1 followed by
+a power-law decay beyond the yield threshold T0^2), and a tabulated law with
+monotone piecewise-linear interpolation.  The admissible class requires positive two-sided bounds, a
 nonincreasing coefficient and an elastic plateau at the left end.
 """
 
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import gradient_squared
+
+TABLE_POINTS = 4001  # samples of a tabulated law built from a function
 
 
 class PlasticityModel:
@@ -43,35 +45,26 @@ class Constant(PlasticityModel):
 
 @dataclass(frozen=True)
 class RambergOsgood(PlasticityModel):
-    """k = 1/G for T^2 <= T0^2, then (1/G)(T^2/T0^2)^(0.5(kappa-1)).
+    """k = 1 for T^2 <= T0^2, then (T^2/T0^2)^(0.5(kappa-1)).
 
-    G = E/(2(1+nu)).  ``scale`` rescales the output (e.g. scale=G expresses k
-    in units of the shear compliance so the PDE stays O(1)); the scale used
-    for a run is recorded in its configuration.
+    The Ramberg-Osgood law in units of the shear compliance 1/G, so the
+    elastic plateau is 1; Young's modulus and Poisson's ratio only set G and
+    cancel in these units.  ``t0_sq`` is the yield threshold T0^2 and
+    ``hardening`` the strain hardening exponent kappa.
     """
 
-    e_young: float
-    nu: float = 0.3
-    t0_sq: float = 0.02
-    hardening: float = 0.5
-    scale: float = 1.0
+    t0_sq: float
+    hardening: float
 
     def __post_init__(self):
-        if self.e_young <= 0.0 or self.t0_sq <= 0.0 or self.scale <= 0.0:
-            raise ValueError("E, T0^2 and scale must be positive")
+        if not 0.0 < self.t0_sq < np.inf:
+            raise ValueError("T0^2 must be positive and finite")
         if not 0.0 < self.hardening < 1.0:
             raise ValueError("strain hardening exponent must be in (0, 1)")
 
-    @property
-    def shear_modulus(self) -> float:
-        return self.e_young / (2.0 * (1.0 + self.nu))
-
     def k(self, t_sq):
         s = self._check(t_sq)
-        base = self.scale / self.shear_modulus
-        expo = 0.5 * (self.hardening - 1.0)
-        ratio = np.maximum(s / self.t0_sq, 1.0)
-        return base * ratio**expo
+        return np.maximum(s / self.t0_sq, 1.0) ** (0.5 * (self.hardening - 1.0))
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,8 @@ class Tabulated(PlasticityModel):
         object.__setattr__(self, "k_samples", k)
 
     @classmethod
-    def from_function(cls, fn, t_sq_max: float, n: int = 4001) -> "Tabulated":
-        t = np.linspace(0.0, t_sq_max, n)
+    def from_function(cls, fn, t_sq_max: float) -> "Tabulated":
+        t = np.linspace(0.0, t_sq_max, TABLE_POINTS)
         return cls(t_sq_samples=t, k_samples=np.asarray(fn(t), dtype=float))
 
     def k(self, t_sq):

@@ -34,8 +34,8 @@ class Grid:
     t_final: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3 or self.nt < 1 or self.t_final <= 0.0:
-            raise ValueError("grid needs nx, ny >= 3, nt >= 1, t_final > 0")
+        if self.nx < 3 or self.ny < 3 or self.nt < 1 or not 0.0 < self.t_final < np.inf:
+            raise ValueError("grid needs nx, ny >= 3, nt >= 1, 0 < t_final < inf")
 
     @property
     def hx(self) -> float:
@@ -64,8 +64,8 @@ class Grid:
     @classmethod
     def from_spacing(cls, h: float, tau: float, t_final: float = 1.0) -> "Grid":
         """Grid with mesh size ~h in both directions and time step ~tau."""
-        if not (h > 0.0 and tau > 0.0):
-            raise ValueError("grid needs h > 0 and tau > 0")
+        if not (h > 0.0 and tau > 0.0 and 0.0 < t_final < np.inf):
+            raise ValueError("grid needs h > 0, tau > 0 and 0 < t_final < inf")
         n = round(1.0 / h) + 1
         nt = round(t_final / tau)
         return cls(nx=n, ny=n, nt=nt, t_final=t_final)

@@ -2,14 +2,13 @@
 
 ``GridOperator.march`` is the one linear solve.  ``solve_nonlinear`` builds
 an operator at the frozen coefficient of every Picard sweep and marches it
-once; a terminal-value problem has its data reflected in time once, is
-iterated forward in the reflected time, and only the result is reflected
-back.  ``solve_sensitivity`` marches an existing operator.  Space is
-discretized by a conservative finite-volume scheme (harmonic-mean face
-coefficients) on the unknowns i < nx-1, j < ny-1; the Dirichlet edges x=1 and
-y=1 are eliminated, the flux edges x=0 and y=0 enter the right-hand side
-through the boundary face integrals.  Time uses the L1 scheme, so every level
-solves ``(scale*V + L_n) u^n = rhs(history)``.
+once, forward from the initial data at t = 0; ``solve_sensitivity`` marches
+an existing operator.  Space is discretized by a conservative finite-volume
+scheme (harmonic-mean face coefficients) on the unknowns i < nx-1,
+j < ny-1; the Dirichlet edges x=1 and y=1 are eliminated, the flux edges
+x=0 and y=0 enter the right-hand side through the boundary face integrals.
+Time uses the L1 scheme, so every level solves
+``(scale*V + L_n) u^n = rhs(history)``.
 
 ``GridOperator`` owns the per-level matrices and their LU factors (levels with
 identical coefficient slices share one factorization) and also implements the
@@ -19,7 +18,6 @@ misfit with respect to the two fluxes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +29,8 @@ from .materials import PlasticityModel, kappa_from_iterate
 from .mesh import (
     BoundaryFlux,
     BoundaryTrace,
-    Edge,
     Field,
     Grid,
-    edge_weights,
     spacetime_h1_diff,
     time_weights,
 )
@@ -48,11 +44,6 @@ class SolverError(RuntimeError):
         self.residual_history = residual_history
 
 
-class Direction(enum.Enum):
-    FORWARD = "forward"  # data given at t = 0
-    BACKWARD = "backward"  # data given at t = T
-
-
 @dataclass(frozen=True)
 class NonlinearProblem:
     """The quasilinear problem: coefficient k(|grad u|^2) from a material model."""
@@ -63,7 +54,6 @@ class NonlinearProblem:
     source: np.ndarray
     flux: BoundaryFlux
     g: np.ndarray
-    direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
         expect = (self.grid.nx, self.grid.ny, self.grid.nt + 1)
@@ -84,8 +74,8 @@ class PicardConfig:
     def __post_init__(self):
         if self.theta_bar is None and self.fixed_iters is None:
             raise ValueError("need theta_bar or fixed_iters")
-        if self.theta_bar is not None and self.theta_bar <= 0.0:
-            raise ValueError("theta_bar must be positive")
+        if self.theta_bar is not None and not 0.0 < self.theta_bar < np.inf:  # also false for nan
+            raise ValueError("theta_bar must be positive and finite")
         if self.fixed_iters is not None and self.fixed_iters < 1:
             raise ValueError("fixed_iters must be at least 1")
         if self.max_outer < 1:
@@ -109,11 +99,11 @@ class SolveReport:
 def _check_g(grid: Grid, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.nx, grid.ny):
-        raise SolverError(f"initial/final slice shape {g.shape} != {(grid.nx, grid.ny)}")
+        raise SolverError(f"initial slice shape {g.shape} != {(grid.nx, grid.ny)}")
     if not np.all(np.isfinite(g)):
-        raise SolverError("initial/final data must be finite")
+        raise SolverError("initial data must be finite")
     if np.max(np.abs(g[-1, :])) > 0.0 or np.max(np.abs(g[:, -1])) > 0.0:
-        raise SolverError("initial/final data must vanish on the Dirichlet edges")
+        raise SolverError("initial data must vanish on the Dirichlet edges")
     return g
 
 
@@ -251,13 +241,11 @@ class GridOperator:
         _check_shape("r2", r2, (grid.nx, nt + 1))
         m = mx * my
         wt = time_weights(grid)
-        c1 = edge_weights(grid, Edge.GAMMA1)
-        c2 = edge_weights(grid, Edge.GAMMA2)
         row1, row2 = self.P[0, :], self.P[:, 0]
         # the residual terms of every level, row n-1 for level n
         base = np.zeros((nt, m))
-        base[:, row1] += wt[1:, None] * c1[:my] * r1[:my, 1:].T
-        base[:, row2] += wt[1:, None] * c2[:mx] * r2[:mx, 1:].T
+        base[:, row1] += wt[1:, None] * self.dyc * r1[:my, 1:].T
+        base[:, row2] += wt[1:, None] * self.dxc * r2[:mx, 1:].T
         svol = w.scale * self.vol
         lam = np.zeros((nt + 1, m))
         for n in range(nt, 0, -1):
@@ -278,13 +266,11 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
 
     Starts from the zero iterate; stops when the L2(0,T;H1) increment drops
     to ``theta_bar`` or after ``fixed_iters`` sweeps.  Three consecutive
-    residual increases abort the iteration.  A backward problem is iterated
-    in reflected time; k(|grad u|^2) acts on each level separately, so that
-    gives the same sweeps as iterating in the original orientation.
+    residual increases abort the iteration.  The problem is an initial-value
+    problem: ``g`` is the data at t = 0.
     """
     grid = problem.grid
-    t = slice(None, None, -1) if problem.direction is Direction.BACKWARD else slice(None)
-    source, f1, f2 = problem.source[:, :, t], problem.flux.f1.values[:, t], problem.flux.f2.values[:, t]
+    source, f1, f2 = problem.source, problem.flux.f1.values, problem.flux.f2.values
     u_old = np.zeros((grid.nx, grid.ny, grid.nt + 1))
     history: list[float] = []
     limit = cfg.fixed_iters if cfg.fixed_iters is not None else cfg.max_outer
@@ -293,7 +279,7 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     for _ in range(limit):
         kappa = kappa_from_iterate(problem.model, grid, u_old)
         u_new = GridOperator(grid, problem.beta, kappa).march(source, f1, f2, problem.g)
-        res = spacetime_h1_diff(grid, u_new[:, :, t], u_old[:, :, t])
+        res = spacetime_h1_diff(grid, u_new, u_old)
         history.append(res)
         if cfg.theta_bar is not None and res <= cfg.theta_bar:
             converged = True
@@ -308,7 +294,6 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
             f"last increment {res:.1e}",
             residual_history=history,
         )
-    u_new = np.ascontiguousarray(u_new[:, :, t])
     eta_star = max(len(history) - 1, 1) if converged else len(history)
     report = SolveReport(
         eta_star=eta_star,

@@ -235,7 +235,7 @@ def test_criterion_08_l1_scheme_oracles():
 def test_criterion_09_material_models_example3():
     lines = []
     for case in ("soft", "stiff"):
-        example = make_inverse_example3(case, REDUCED_GRID)
+        example = make_inverse_example3(case, REDUCED_GRID, 0.5)
         model = example.problem.model
         kreport = validate_class_K(model, (0.0, 0.5))
         assert kreport.ok, case

@@ -28,7 +28,7 @@ from fracflux.mesh import (
     trace_norm,
     zero_flux,
 )
-from fracflux.solver import Direction, GridOperator, NonlinearProblem, solve_nonlinear, solve_sensitivity
+from fracflux.solver import GridOperator, NonlinearProblem, solve_nonlinear, solve_sensitivity
 
 
 @pytest.fixture(scope="module")
@@ -273,15 +273,6 @@ def test_inputs_on_mismatched_grids_are_rejected(setup, build):
     problem, obs, _ = setup
     with pytest.raises(ValueError):
         build(problem, obs)
-
-
-@pytest.mark.parametrize("call", [cost, gradient, run_cgm], ids=["cost", "gradient", "run_cgm"])
-def test_backward_problem_is_rejected(setup, call):
-    # the adjoint gradient transposes a forward march, so a terminal-value
-    # problem must fail before any solve rather than give a wrong gradient
-    problem, obs, _ = setup
-    with pytest.raises(ValueError, match="forward problem"):
-        call(replace(problem, direction=Direction.BACKWARD), obs)
 
 
 @pytest.mark.parametrize("epsilon_bar", [0.0, np.nan, np.inf])

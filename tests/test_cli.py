@@ -109,6 +109,45 @@ def test_forward_mode_without_picard_section_uses_default_tolerance(tmp_path):
     assert residuals[-1] <= 1e-4 < residuals[-2]
 
 
+def test_adjoint_mode_reports_the_solution_in_forward_time(tmp_path):
+    # Adj2 is solved in s = T - t; the CSVs hold t, with the zero terminal
+    # state at t = 1 and the state near (1-x)(1-y) at t = 0
+    cfg = _write_config(
+        tmp_path / "run.ini",
+        """
+[run]
+mode = adjoint
+preset = Adj2
+
+[grid]
+nx = 6
+ny = 6
+nt = 10
+
+[picard]
+fixed_iters = 6
+
+[output]
+times = 0, 1
+""",
+    )
+    out = tmp_path / "out"
+    assert run(cfg, out=str(out), quiet=True) == 0
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 36
+    final = [float(r["u"]) for r in rows if float(r["t"]) == 1.0]
+    assert len(final) == 36 and all(u == 0.0 for u in final)
+    initial = [r for r in rows if float(r["t"]) == 0.0]
+    assert len(initial) == 36
+    for r in initial:
+        x, y = float(r["x"]), float(r["y"])
+        assert abs(float(r["u"]) - (1.0 - x) * (1.0 - y)) <= 0.2
+    with open(out / "summary.csv") as fh:
+        rec = next(csv.DictReader(fh))
+    assert int(rec["eta_star"]) == 6
+
+
 def test_invert_mode_writes_outputs(tmp_path):
     cfg = _write_config(tmp_path / "run.ini", INVERT_CFG)
     out = tmp_path / "out"

@@ -55,24 +55,28 @@ def test_relaxation_identity_used_by_the_source():
 
 
 def test_adjoint_example2_final_state_is_zero(grid):
+    # the example is indexed by s = T - t: the final state t = T is level 0,
+    # and the corner history is s^(2 beta)
     ex = make_adjoint_example2(0.3, grid)
-    assert np.max(np.abs(ex.exact.values[:, :, -1])) == 0.0
+    assert np.max(np.abs(ex.exact.values[:, :, 0])) == 0.0
     assert np.max(np.abs(ex.problem.g)) == 0.0
+    assert ex.exact.values[0, 0, :] == pytest.approx(grid.ts**0.6, rel=1e-12, abs=1e-14)
 
 
 def test_adjoint_example2_reflection_identity():
     # D^beta of (T-t)^(2 beta) from the right equals
-    # Gamma(2b+1)/Gamma(b+1) (T-t)^beta; check the source uses it at t=0
+    # Gamma(2b+1)/Gamma(b+1) (T-t)^beta; check the source uses it at t=0,
+    # which is the last level s = T of the reversed-time arrays
     beta = 0.5
     g = Grid(nx=5, ny=5, nt=10)
     ex = make_adjoint_example2(beta, g)
     X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
     psi = (1 - X) * (1 - Y)
     c = math.gamma(2 * beta + 1) / math.gamma(beta + 1)
-    # at the final time the nonlinear correction vanishes with V = 0
-    assert ex.problem.source[:, :, -1] == pytest.approx(np.zeros_like(psi), abs=1e-14)
+    # at the final time t = T (s = 0) the nonlinear correction vanishes with V = 0
+    assert ex.problem.source[:, :, 0] == pytest.approx(np.zeros_like(psi), abs=1e-14)
     # at t=0 the fractional part contributes c * psi
-    interior = ex.problem.source[1:-1, 1:-1, 0]
+    interior = ex.problem.source[1:-1, 1:-1, -1]
     v0 = 1.0
     s = v0**2 * ((1 - Y) ** 2 + (1 - X) ** 2)
     expected = psi * (c + 4.0 * v0**3 / (1.0 + s) ** 2)
@@ -125,26 +129,32 @@ def test_inverse_example2_threshold_reflects_data_mismatch(grid):
 
 
 def test_inverse_example3_models(grid):
-    soft = make_inverse_example3("soft", grid)
-    stiff = make_inverse_example3("stiff", grid)
+    soft = make_inverse_example3("soft", grid, 0.5)
+    stiff = make_inverse_example3("stiff", grid, 0.5)
     m_soft, m_stiff = soft.problem.model, stiff.problem.model
     assert isinstance(m_soft, RambergOsgood)
-    assert m_soft.shear_modulus == pytest.approx(110.0 / 2.6)
     # the coefficient is expressed in units of 1/G, so both plateaus are 1
     assert m_soft.k(0.0) == pytest.approx(1.0)
     assert m_stiff.k(0.0) == pytest.approx(1.0)
     assert m_soft.t0_sq == 0.02 and m_stiff.t0_sq == 0.027
     with pytest.raises(ValueError):
-        make_inverse_example3("rubber", grid)
+        make_inverse_example3("rubber", grid, 0.5)
 
 
 def test_inverse_example3_normalized_models_depend_only_on_t0_sq():
-    # with scale = G the elastic compliance cancels, so E and nu drop out and
-    # the two materials differ only in their yield threshold T0^2
+    # in units of the shear compliance E and nu drop out, and the two
+    # materials differ only in their yield threshold T0^2
     s = np.linspace(0.0, 0.5, 2001)
     for case, t0_sq in (("soft", 0.02), ("stiff", 0.027)):
-        model = make_inverse_example3(case, Grid(nx=3, ny=3, nt=2)).problem.model
+        model = make_inverse_example3(case, Grid(nx=3, ny=3, nt=2), 0.5).problem.model
         assert np.array_equal(model.k(s), np.maximum(s / t0_sq, 1.0) ** -0.25)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_noise_spec_rejects_non_finite_level(gamma):
+    # nan would give nan observations under a finite stop threshold
+    with pytest.raises(ValueError):
+        NoiseSpec(gamma=gamma, seed=1)
 
 
 def test_add_noise_zero_level_is_identity(grid):

@@ -54,6 +54,11 @@ def test_grid_validation():
         Grid(nx=2, ny=5, nt=3)
     with pytest.raises(ValueError):
         Grid(nx=5, ny=5, nt=0)
+    for t_final in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Grid(nx=5, ny=5, nt=3, t_final=t_final)
+        with pytest.raises(ValueError):
+            Grid.from_spacing(0.1, 0.1, t_final)
     for h, tau in ((0.0, 0.1), (0.1, 0.0), (-0.1, 0.1), (0.1, float("nan"))):
         with pytest.raises(ValueError):
             Grid.from_spacing(h, tau)
