@@ -2,8 +2,9 @@
 
 Three model kinds: a constant coefficient, the Ramberg-Osgood engineering
 material law in units of the shear compliance (elastic plateau 1 followed by
-a power-law decay beyond the yield threshold T0^2), and a tabulated law with
-monotone piecewise-linear interpolation.  The admissible class requires positive two-sided bounds, a
+a power-law decay beyond the yield threshold T0^2), and a tabulated law,
+linear between its samples (``np.interp``) and clamped to the end samples
+outside them.  The admissible class requires positive two-sided bounds, a
 nonincreasing coefficient and an elastic plateau at the left end.
 """
 

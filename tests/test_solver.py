@@ -154,6 +154,43 @@ def test_nonlinear_constant_model_converges_immediately():
         assert report.converged is True
 
 
+def test_assembly_matches_a_dense_five_point_operator():
+    # two levels of a random coefficient on a non-square grid, against the
+    # finite-volume operator built cell by cell with harmonic-mean faces
+    g = Grid(nx=7, ny=5, nt=3)
+    beta = 0.6
+    kappa = 0.5 + np.random.default_rng(11).random((g.nx, g.ny, g.nt + 1))
+    op = GridOperator(g, beta, kappa)
+    mx, my = g.nx - 1, g.ny - 1
+    scale = l1_weights(beta, g.tau, g.nt).scale
+
+    def dense(K):
+        A = np.zeros((mx * my, mx * my))
+        for i in range(mx):
+            for j in range(my):
+                p = i * my + j
+                wx = g.hx * (0.5 if i == 0 else 1.0)
+                wy = g.hy * (0.5 if j == 0 else 1.0)
+                A[p, p] += scale * wx * wy
+                # the face towards (i+1, j) and the face towards (i, j+1)
+                for di, dj, length, h in ((1, 0, wy, g.hx), (0, 1, wx, g.hy)):
+                    a, b = K[i, j], K[i + di, j + dj]
+                    c = 2.0 * a * b / (a + b) * length / h
+                    A[p, p] += c
+                    if i + di < mx and j + dj < my:  # else a Dirichlet node
+                        q = (i + di) * my + j + dj
+                        A[q, q] += c
+                        A[p, q] -= c
+                        A[q, p] -= c
+        return A
+
+    levels = (1, 3)
+    mats = [op._assemble(n) for n in levels]
+    for n, A in zip(levels, mats):
+        np.testing.assert_allclose(A.toarray(), dense(kappa[:, :, n]), rtol=1e-13, atol=0.0)
+    assert not np.shares_memory(mats[0].data, mats[1].data)
+
+
 def test_non_finite_level_is_named_without_a_warning():
     g = Grid(nx=6, ny=6, nt=6)
     op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
@@ -172,7 +209,7 @@ def test_factors_are_built_once_per_level_and_kept_only_by_the_adjoint(monkeypat
     rng = np.random.default_rng(6)
     op = GridOperator(g, 0.5, 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1)))
     factored = []
-    monkeypatch.setattr(solver, "splu", lambda a: factored.append(1) or splu(a))
+    monkeypatch.setattr(solver, "splu", lambda a, **kw: factored.append(1) or splu(a, **kw))
     f1, f2 = _zero_fluxes(g)
     source = rng.normal(size=(g.nx, g.ny, g.nt + 1))
     op.march(source, f1, f2, np.zeros((g.nx, g.ny)))
@@ -193,7 +230,7 @@ def test_constant_coefficient_march_keeps_its_one_factor(monkeypatch):
     kappa[:, :, 0] = 2.0
     op = GridOperator(g, 0.5, kappa)
     factored = []
-    monkeypatch.setattr(solver, "splu", lambda a: factored.append(1) or splu(a))
+    monkeypatch.setattr(solver, "splu", lambda a, **kw: factored.append(1) or splu(a, **kw))
     f1, f2 = _zero_fluxes(g)
     source = np.ones((g.nx, g.ny, g.nt + 1))
     first = op.march(source, f1, f2, np.zeros((g.nx, g.ny)))
