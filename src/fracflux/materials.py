@@ -37,8 +37,8 @@ class Constant(PlasticityModel):
     value: float = 1.0
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ValueError("coefficient must be positive")
+        if not 0.0 < self.value < np.inf:  # also false for nan
+            raise ValueError("coefficient must be positive and finite")
 
     def k(self, t_sq):
         return np.full_like(self._check(t_sq), self.value)

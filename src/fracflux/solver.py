@@ -17,11 +17,20 @@ misfit with respect to the two fluxes.  The five-point sparsity pattern is
 built once per grid and cached; every level refills its values and is
 factored in the natural order: the lexicographic numbering of the unknowns
 is already a band ordering, of bandwidth ny-1.
+
+A march does not factor a level whose coefficient lies within a relative
+drift ``_DRIFT`` (3e-3) of the held factor's coefficient at every node: it
+solves that level by conjugate gradients preconditioned with the held factor,
+to a relative residual of 1e-13 in at most ``_CG_MAXITER`` (4) iterations;
+the derivation sits at the constants below.  The adjoint recursion always
+factors, so it stays the exact transpose of the direct scheme, and the
+sensitivity marches after it solve directly on its factors.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,27 @@ from .mesh import (
     spacetime_h1_diff,
     time_weights,
 )
+
+# A march solves level n by CG on the factor it holds from level a when
+# kappa_n / kappa_a lies in [1 - d, 1 + d] at every node, d = _DRIFT.  It
+# checks this through a bound taken in one pass over the coefficient: the sum,
+# over the levels a < i <= n, of the largest |log(kappa_i / kappa_(i-1))| at
+# any node may not exceed log(1 + d).  The harmonic mean is monotone and
+# 1-homogeneous, so every face coefficient keeps the same ratio bounds, the
+# mass term does not move, and the spectrum of A_a^-1 A_n lies in
+# [1 - d, 1 + d].  With c = (1 + d)/(1 - d) and
+# rho = (sqrt(c) - 1)/(sqrt(c) + 1) (about d/2), CG started from
+# x0 = A_a^-1 b has a residual r_k, in the norm sqrt(r . A_a^-1 r), of at
+# most 2 d sqrt(c) rho^k times that of b: the start leaves at most d of it,
+# CG contracts the A_n-norm error by 2 rho^k, and that norm is within
+# sqrt(1 +- d) of the residual norm.  At d = 3e-3 the tolerance 1e-13 takes
+# four iterations; a level that has not converged by then is factored.
+_DRIFT = 3e-3
+_CG_RTOL = 1e-13
+_C = (1.0 + _DRIFT) / (1.0 - _DRIFT)
+_RHO = (math.sqrt(_C) - 1.0) / (math.sqrt(_C) + 1.0)
+_LOG_DRIFT = math.log1p(_DRIFT)
+_CG_MAXITER = math.ceil(math.log(_CG_RTOL / (2.0 * _DRIFT * math.sqrt(_C))) / math.log(_RHO))
 
 
 class SolverError(RuntimeError):
@@ -92,12 +122,16 @@ class SolveReport:
 
     ``converged`` is True only when the H1 increment reached ``theta_bar``; a
     solve that stopped at ``fixed_iters`` sweeps reports False.
+    ``factorizations`` and ``cg_levels`` sum ``GridOperator``'s counts over
+    the sweeps.
     """
 
     eta_star: int
     residual_history: list
     kappa: np.ndarray
     converged: bool
+    factorizations: int = 0
+    cg_levels: int = 0
 
 
 @functools.lru_cache(maxsize=16)
@@ -120,6 +154,31 @@ def _five_point_pattern(mx: int, my: int) -> tuple[np.ndarray, np.ndarray, np.nd
     for a in (indices, indptr, perm):
         a.flags.writeable = False
     return indices, indptr, perm
+
+
+def _pcg(A, lu, b: np.ndarray) -> np.ndarray | None:
+    """Solve A x = b by CG preconditioned with the factor ``lu``, from x0 = lu.solve(b).
+
+    Stops when sqrt(r . z) <= _CG_RTOL sqrt(b . x0), z = lu.solve(r); returns
+    None if that takes more than _CG_MAXITER iterations.
+    """
+    x = lu.solve(b)
+    stop = _CG_RTOL**2 * (b @ x)
+    r = b - A @ x
+    z = lu.solve(r)
+    rz = r @ z
+    p = z
+    for _ in range(_CG_MAXITER):
+        if rz <= stop:
+            return x
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x if rz <= stop else None
 
 
 def _check_g(grid: Grid, g: np.ndarray) -> np.ndarray:
@@ -151,6 +210,14 @@ class GridOperator:
     operator.  A ``march`` keeps its factor only when one coefficient serves
     every level; otherwise it holds one factor at a time, so a one-shot march
     frees each factor when it leaves its group.
+
+    A ``march`` factors a level only when it has no cached factor and its
+    coefficient drifted by more than ``_DRIFT`` (relative, at some node) from
+    the coefficient of the factor it holds; the other levels are solved by
+    ``_pcg`` on the held factor.  ``adjoint_gradient`` factors every level, so
+    the adjoint is the exact transpose of the direct recursion and the
+    sensitivity marches after it solve directly too.  ``factorizations`` and
+    ``cg_levels`` count the factors built and the levels solved by CG.
     """
 
     def __init__(self, grid: Grid, beta: float, kappa: np.ndarray):
@@ -177,6 +244,8 @@ class GridOperator:
         changed = np.any(kappa[:, :, 1:] != kappa[:, :, :-1], axis=(0, 1))
         self._group = np.concatenate([[0], np.cumsum(changed)])
         self._lus: dict[int, object] = {}
+        self.factorizations = 0
+        self.cg_levels = 0
 
     def _assemble(self, n: int) -> sp.csc_matrix:
         K = self.kappa[:, :, n]
@@ -199,6 +268,7 @@ class GridOperator:
         return sp.csc_matrix((vals[perm], indices, indptr), shape=(mx * my, mx * my))
 
     def _factor(self, n: int):
+        self.factorizations += 1
         try:
             # the lexicographic numbering is a band ordering of bandwidth my
             return splu(self._assemble(n), permc_spec="NATURAL")
@@ -211,7 +281,9 @@ class GridOperator:
         ``f1``/``f2`` are flux samples shaped (ny, nt+1) / (nx, nt+1); the
         Dirichlet endpoint of each is ignored.  Uses the factors a previous
         ``adjoint_gradient`` cached; caches its own factor only when the
-        coefficient is the same on every level.
+        coefficient is the same on every level.  A level without a cached
+        factor whose coefficient is within ``_DRIFT`` of the held factor's is
+        solved by ``_pcg``, and factored only if CG does not converge.
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
@@ -231,17 +303,35 @@ class GridOperator:
         diffs = np.zeros((nt, m))  # diffs[q-1] = U[q] - U[q-1]
         held, lu = -1, None
         keep = self._group[1] == self._group[nt]  # one factor for every level: the next march reuses it
+        if keep:
+            drift = np.zeros(nt + 1)
+        else:
+            # drift[n] - drift[a] >= |log(kappa_n / kappa_a)| at every node
+            steps = np.abs(np.diff(np.log(self.kappa), axis=2)).max(axis=(0, 1))
+            drift = np.concatenate([[0.0], np.cumsum(steps)])
         # a non-finite level poisons the later ones; the check after the loop names the first
         with np.errstate(invalid="ignore", over="ignore"):
             for n in range(1, nt + 1):
                 if self._group[n] != held:
-                    held = self._group[n]
-                    lu = self._lus.get(held)
-                    if lu is None:
-                        lu = self._factor(n)
-                        if keep:
-                            self._lus[held] = lu
-                U[n] = lu.solve(base[n - 1] + svol * (U[n - 1] - w.history(diffs, n)))
+                    held, A = self._group[n], None
+                    if lu is not None and held not in self._lus and drift[n] <= limit:
+                        A = self._assemble(n)  # the group's levels are solved by CG on lu
+                    else:
+                        lu = self._lus.get(held)
+                        if lu is None:
+                            lu = self._factor(n)
+                            if keep:
+                                self._lus[held] = lu
+                        limit = drift[n] + _LOG_DRIFT
+                rhs = base[n - 1] + svol * (U[n - 1] - w.history(diffs, n))
+                x = None if A is None else _pcg(A, lu, rhs)
+                if x is not None:
+                    self.cg_levels += 1
+                else:
+                    if A is not None:  # CG did not converge: factor this level and the rest of its group
+                        A, lu, limit = None, self._factor(n), drift[n] + _LOG_DRIFT
+                    x = lu.solve(rhs)
+                U[n] = x
                 np.subtract(U[n], U[n - 1], out=diffs[n - 1])
         finite = np.isfinite(U).all(axis=1)
         if not finite.all():
@@ -304,9 +394,16 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     limit = cfg.fixed_iters if cfg.fixed_iters is not None else cfg.max_outer
     rises = 0
     converged = False
+    factorizations = cg_levels = 0
     for _ in range(limit):
         kappa = kappa_from_iterate(problem.model, grid, u_old)
-        u_new = GridOperator(grid, problem.beta, kappa).march(source, f1, f2, problem.g)
+        op = GridOperator(grid, problem.beta, kappa)
+        u_new = op.march(source, f1, f2, problem.g)
+        factorizations += op.factorizations
+        cg_levels += op.cg_levels
+        # release the operator before the next sweep builds its own: held
+        # over, it raised the peak RSS of the Inv2 table sweep by 13 MiB
+        del op
         res = spacetime_h1_diff(grid, u_new, u_old)
         history.append(res)
         if cfg.theta_bar is not None and res <= cfg.theta_bar:
@@ -328,6 +425,8 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
         residual_history=history,
         kappa=kappa_from_iterate(problem.model, grid, u_new),
         converged=converged,
+        factorizations=factorizations,
+        cg_levels=cg_levels,
     )
     return Field(grid, u_new), report
 

@@ -28,6 +28,14 @@ def test_constant_model():
         m.k(-0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_constant_model_rejects_non_finite_value(value):
+    # nan <= 0 is false, so a nan coefficient used to pass construction and
+    # fail only later, inside the solver
+    with pytest.raises(ValueError, match="positive and finite"):
+        Constant(value)
+
+
 def test_ramberg_osgood_plateau_value():
     # in units of the shear compliance 1/G the elastic plateau is exactly 1
     assert SOFT.k(0.0) == 1.0

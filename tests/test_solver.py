@@ -1,6 +1,7 @@
 """Tests for the implicit marching solver, the nonlinear outer iteration,
 and the adjoint machinery."""
 
+import dataclasses
 import math
 import warnings
 
@@ -239,6 +240,98 @@ def test_constant_coefficient_march_keeps_its_one_factor(monkeypatch):
     assert len(factored) == 1
 
 
+def _drifting_kappa(g, rate, seed):
+    # every level moves every node by a relative step of at most ``rate``
+    rng = np.random.default_rng(seed)
+    steps = 1.0 + rate * rng.uniform(-1.0, 1.0, size=(g.nx, g.ny, g.nt + 1))
+    return (0.5 + rng.random((g.nx, g.ny)))[:, :, None] * np.cumprod(steps, axis=2)
+
+
+def _counting_splu(monkeypatch):
+    factored = []
+    monkeypatch.setattr(solver, "splu", lambda a, **kw: factored.append(1) or splu(a, **kw))
+    return factored
+
+
+def test_slowly_drifting_levels_are_solved_by_cg_on_the_held_factor(monkeypatch):
+    # per-level changes of at most 4e-4 stay under the drift limit for several
+    # levels, which CG then solves to the accuracy of a factor per level; the
+    # adjoint still factors every level, and the sensitivity marches after it
+    # solve directly on those factors
+    g = Grid(nx=8, ny=7, nt=40)
+    kappa = _drifting_kappa(g, 4e-4, seed=3)
+    rng = np.random.default_rng(9)
+    source = rng.normal(size=(g.nx, g.ny, g.nt + 1))
+    f1, f2 = rng.normal(size=(g.ny, g.nt + 1)), rng.normal(size=(g.nx, g.nt + 1))
+    g0 = np.zeros((g.nx, g.ny))
+    factored = _counting_splu(monkeypatch)
+    with monkeypatch.context() as direct:
+        direct.setattr(solver, "_LOG_DRIFT", 0.0)  # the gate closed: every level is factored
+        ref = GridOperator(g, 0.4, kappa).march(source, f1, f2, g0)
+    assert len(factored) == g.nt
+    factored.clear()
+    op = GridOperator(g, 0.4, kappa)
+    u = op.march(source, f1, f2, g0)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+    marched = len(factored)
+    assert op.factorizations == marched < g.nt // 4
+    assert op.cg_levels == g.nt - marched
+    op.adjoint_gradient(f1, f2)
+    solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, f1))
+    assert op.factorizations == len(factored) == marched + g.nt
+    assert op.cg_levels == g.nt - marched
+
+
+def test_a_level_that_drifted_past_the_limit_is_factored(monkeypatch):
+    g = Grid(nx=6, ny=6, nt=12)
+    kappa = _drifting_kappa(g, 1e-4, seed=5)
+    kappa[:, :, 6:] *= 1.0 + 2.0 * solver._DRIFT
+    op = GridOperator(g, 0.5, kappa)
+    factored = []
+    factor = op._factor
+    monkeypatch.setattr(op, "_factor", lambda n: factored.append(n) or factor(n))
+    op.march(np.ones((g.nx, g.ny, g.nt + 1)), *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    assert factored == [1, 6]
+    assert op.cg_levels == g.nt - 2
+
+
+def test_level_is_factored_when_cg_does_not_converge(monkeypatch):
+    # unreachable at the derived iteration cap (see solver._CG_MAXITER); with
+    # no iterations allowed, every gated level falls back to its own factor
+    # and the march is the direct one, bit for bit
+    g = Grid(nx=7, ny=6, nt=15)
+    kappa = _drifting_kappa(g, 2e-4, seed=8)
+    source = np.random.default_rng(1).normal(size=(g.nx, g.ny, g.nt + 1))
+    args = (source, *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    with monkeypatch.context() as direct:
+        direct.setattr(solver, "_LOG_DRIFT", 0.0)
+        ref = GridOperator(g, 0.5, kappa).march(*args)
+    monkeypatch.setattr(solver, "_CG_MAXITER", 0)
+    op = GridOperator(g, 0.5, kappa)
+    assert np.array_equal(op.march(*args), ref)
+    assert op.factorizations == g.nt and op.cg_levels == 0
+
+
+def test_solve_report_sums_factors_and_cg_levels_over_sweeps(monkeypatch):
+    g = Grid(nx=9, ny=9, nt=50)
+    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    problem = NonlinearProblem(
+        grid=g,
+        beta=0.5,
+        model=Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0),
+        source=np.repeat(2.0 * np.sin(np.pi * X * Y)[:, :, None], g.nt + 1, axis=2),
+        flux=zero_flux(g),
+        g=np.zeros((g.nx, g.ny)),
+    )
+    factored = _counting_splu(monkeypatch)
+    _, report = solve_nonlinear(problem, PicardConfig(fixed_iters=4))
+    assert report.factorizations == len(factored)
+    assert report.cg_levels > 0
+    constant = dataclasses.replace(problem, model=Constant(1.0))
+    _, report = solve_nonlinear(constant, PicardConfig(fixed_iters=2))
+    assert (report.factorizations, report.cg_levels) == (2, 0)
+
+
 def test_nonlinear_tabulated_model_converges():
     g = Grid(nx=9, ny=9, nt=20)
     model = Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0)
@@ -370,6 +463,34 @@ def test_lu_sharing_between_identical_levels():
     rng = np.random.default_rng(8)
     op_vary = GridOperator(g, 0.5, 1.0 + rng.random(size=(g.nx, g.ny, g.nt + 1)))
     assert int(op_vary._group[-1]) == g.nt
+
+
+@given(
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    nt=st.integers(2, 12),
+    beta=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_operator_duality_on_a_drifting_coefficient(nx, ny, nt, beta, seed):
+    # the march solves most levels by CG on a held factor, the adjoint factors
+    # every level; the two still agree to the duality tolerance
+    g = Grid(nx=nx, ny=ny, nt=nt)
+    rng = np.random.default_rng(seed)
+    op = GridOperator(g, beta, _drifting_kappa(g, 1e-3, seed))
+    d1, r1 = rng.normal(size=(2, ny, nt + 1))
+    d2, r2 = rng.normal(size=(2, nx, nt + 1))
+    u = Field(g, op.march(np.zeros((nx, ny, nt + 1)), d1, d2, np.zeros((nx, ny))))
+    assert op.cg_levels > 0
+    G1, G2 = op.adjoint_gradient(r1, r2)
+    lhs = trace_inner(BoundaryTrace(g, Edge.GAMMA1, r1), restrict_to_edge(u, Edge.GAMMA1)) + trace_inner(
+        BoundaryTrace(g, Edge.GAMMA2, r2), restrict_to_edge(u, Edge.GAMMA2)
+    )
+    rhs = trace_inner(BoundaryTrace(g, Edge.GAMMA1, G1), BoundaryTrace(g, Edge.GAMMA1, d1)) + trace_inner(
+        BoundaryTrace(g, Edge.GAMMA2, G2), BoundaryTrace(g, Edge.GAMMA2, d2)
+    )
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
 
 @given(
