@@ -3,7 +3,7 @@ adjoint-based conjugate gradient identification of its two boundary fluxes."""
 
 from .cgm import CgmReport, Observations, StopReason, cost, gradient, run_cgm
 from .fracops import L1Weights, l1_weights, mittag_leffler
-from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated, validate_class_K
+from .materials import Constant, PlasticityModel, RambergOsgood, Rational, validate_class_K
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
     GridOperator,
@@ -34,9 +34,9 @@ __all__ = [
     "PicardConfig",
     "PlasticityModel",
     "RambergOsgood",
+    "Rational",
     "SolveReport",
     "SolverError",
-    "Tabulated",
     "l1_weights",
     "mittag_leffler",
     "solve_nonlinear",

@@ -50,7 +50,7 @@ class _Config(configparser.ConfigParser):
     def __init__(self):
         super().__init__()
         # a flag may stand in for these keys, so they count as read either way
-        self.asked = {("run", "mode"), ("run", "out"), ("noise", "seed")}
+        self.asked = {("run", "mode"), ("run", "out")}
 
     def unused(self) -> list[str]:
         """The sections the run never read, then the keys it never read in the others."""
@@ -132,13 +132,17 @@ def _grid_from_config(cfg: _Config) -> Grid:
 
 
 def _picard_from_config(cfg: _Config) -> PicardConfig:
-    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset."""
+    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset.
+
+    ``max_outer`` caps a run that stops by ``theta_bar``, so it is read only
+    when ``fixed_iters`` is unset.
+    """
     theta = _get(cfg, "picard", "theta_bar", _finite, 0.0, lambda v: v >= 0.0)
     fixed = _get(cfg, "picard", "fixed_iters", int, 0, lambda v: v >= 0)
+    if fixed:
+        return PicardConfig(theta_bar=theta or None, fixed_iters=fixed)
     max_outer = _get(cfg, "picard", "max_outer", int, 100, lambda v: v >= 1)
-    if theta == 0.0 and fixed == 0:
-        theta = DEFAULT_THETA_BAR
-    return PicardConfig(theta_bar=theta or None, max_outer=max_outer, fixed_iters=fixed or None)
+    return PicardConfig(theta_bar=theta or DEFAULT_THETA_BAR, max_outer=max_outer)
 
 
 def _solution_rows(grid: Grid, values: np.ndarray, times: list[float]):
@@ -247,8 +251,10 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
     """Execute one configured run; returns the process exit code.
 
     Every INI value is read and checked here, before any work starts, and a
-    section or key that the run does not read is an error; the flags given
-    to this function override the file.
+    section or key that the run does not read is an error: [picard] and
+    [output] belong to forward/adjoint runs, [cgm] and [noise] to invert/table
+    runs, ``gamma`` to invert and ``gammas`` to table.  The flags given to
+    this function override the file.
     """
     cfg = _Config()
     try:
@@ -263,13 +269,18 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
         out_dir = out or _get(cfg, "run", "out", str, "out")
         grid = _grid_from_config(cfg)
         beta = _get(cfg, "problem", "beta", _finite, 0.3, lambda v: 0.0 < v < 1.0)
-        picard = _picard_from_config(cfg)
-        times = _get(cfg, "output", "times", _finite_list, []) or [grid.t_final]
-        max_iter = _get(cfg, "cgm", "max_iter", int, 1000, lambda v: v >= 0)
-        the_seed = seed if seed is not None else _get(cfg, "noise", "seed", int, 1234)
-        noise = NoiseSpec(gamma=_get(cfg, "noise", "gamma", _finite, 0.0), seed=the_seed)
-        gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS)
-        sweep = [NoiseSpec(gamma=gamma, seed=the_seed) for gamma in gammas]
+        if run_mode in ("forward", "adjoint"):
+            picard = _picard_from_config(cfg)
+            times = _get(cfg, "output", "times", _finite_list, []) or [grid.t_final]
+        else:
+            max_iter = _get(cfg, "cgm", "max_iter", int, 1000, lambda v: v >= 0)
+            cfg.asked.add(("noise", "seed"))  # the --seed flag may stand in
+            the_seed = seed if seed is not None else _get(cfg, "noise", "seed", int, 1234)
+            if run_mode == "invert":
+                noise = NoiseSpec(gamma=_get(cfg, "noise", "gamma", _finite, 0.0), seed=the_seed)
+            else:
+                gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS)
+                sweep = [NoiseSpec(gamma=gamma, seed=the_seed) for gamma in gammas]
         unused = cfg.unused()
         if unused:
             raise ConfigError("not used by this run: " + ", ".join(unused))

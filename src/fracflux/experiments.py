@@ -18,7 +18,7 @@ import numpy as np
 
 from .cgm import INNER_PICARD, Observations, cost
 from .fracops import mittag_leffler
-from .materials import Constant, PlasticityModel, RambergOsgood, Tabulated
+from .materials import Constant, PlasticityModel, RambergOsgood, Rational
 from .mesh import (
     BoundaryFlux,
     BoundaryTrace,
@@ -83,11 +83,6 @@ def _flux(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> BoundaryFlux:
     )
 
 
-def _rational_model(s_max: float) -> Tabulated:
-    """Densely tabulated k(s) = 1/(1 + s) (smooth, monotone decreasing)."""
-    return Tabulated.from_function(lambda s: 1.0 / (1.0 + s), s_max)
-
-
 def _separable_example(
     grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray
 ) -> ForwardExample:
@@ -98,19 +93,17 @@ def _separable_example(
     F = psi (DV - 4 V^3 k'(s)), and the exact fluxes -k du/dn on the two flux
     edges follow by substitution.
     """
+    model = Rational()
     X, Y = _meshed(grid)
     psi = (1.0 - X) * (1.0 - Y)
     s = (V**2)[None, None, :] * (((1.0 - Y) ** 2 + (1.0 - X) ** 2)[:, :, None])
-    kp = -1.0 / (1.0 + s) ** 2
-    F = psi[:, :, None] * (DV[None, None, :] - 4.0 * V[None, None, :] ** 3 * kp)
-    s1 = np.outer((1.0 - grid.ys) ** 2 + 1.0, V**2)
-    f1 = -(1.0 / (1.0 + s1)) * np.outer(1.0 - grid.ys, V)
-    s2 = np.outer(1.0 + (1.0 - grid.xs) ** 2, V**2)
-    f2 = -(1.0 / (1.0 + s2)) * np.outer(1.0 - grid.xs, V)
+    F = psi[:, :, None] * (DV[None, None, :] - 4.0 * V[None, None, :] ** 3 * model.k_prime(s))
+    f1 = -model.k(np.outer((1.0 - grid.ys) ** 2 + 1.0, V**2)) * np.outer(1.0 - grid.ys, V)
+    f2 = -model.k(np.outer(1.0 + (1.0 - grid.xs) ** 2, V**2)) * np.outer(1.0 - grid.xs, V)
     problem = NonlinearProblem(
         grid=grid,
         beta=beta,
-        model=_rational_model(2.5),
+        model=model,
         source=F,
         flux=_flux(grid, f1, f2),
         g=g,
@@ -165,6 +158,7 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     are the closed forms obtained by substitution, so no synthetic solve is
     involved and the observations carry no discretization bias.
     """
+    model = Rational()
     X, Y = _meshed(grid)
     ts = grid.ts
     tb = ts**beta
@@ -172,8 +166,7 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     oy = 1.0 - Y
     # source from D^beta u - div(k grad u) with u = t^beta L(x) (1-y)
     s = (tb**2)[None, None, :] * ((oy**2 / (2.0 - X) ** 2 + L**2)[:, :, None])
-    k = 1.0 / (1.0 + s)
-    kp = -1.0 / (1.0 + s) ** 2
+    k, kp = model.k(s), model.k_prime(s)
     lap = -(tb[None, None, :]) * (oy / (2.0 - X) ** 2)[:, :, None]
     ux = -(tb[None, None, :]) * (oy / (2.0 - X))[:, :, None]
     uy = -(tb[None, None, :]) * L[:, :, None]
@@ -184,11 +177,9 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     F = (math.gamma(1.0 + beta) * L * oy)[:, :, None] - (k * lap + kp * (sx * ux + sy * uy))
     # exact fluxes -k du/dn on the two flux edges
     oyv = 1.0 - grid.ys
-    s1 = np.outer(oyv**2 / 4.0 + math.log(2.0) ** 2, tb**2)
-    f1 = -np.outer(oyv / 2.0, tb) / (1.0 + s1)
+    f1 = -np.outer(oyv / 2.0, tb) * model.k(np.outer(oyv**2 / 4.0 + math.log(2.0) ** 2, tb**2))
     Lx = np.log(2.0 - grid.xs)
-    s2 = np.outer(1.0 / (2.0 - grid.xs) ** 2 + Lx**2, tb**2)
-    f2 = -np.outer(Lx, tb) / (1.0 + s2)
+    f2 = -np.outer(Lx, tb) * model.k(np.outer(1.0 / (2.0 - grid.xs) ** 2 + Lx**2, tb**2))
     exact_flux = _flux(grid, f1, f2)
     # analytic observations on the two measured edges
     h1 = BoundaryTrace(grid, Edge.GAMMA1, np.outer(math.log(2.0) * oyv, tb))
@@ -196,7 +187,7 @@ def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
     problem = NonlinearProblem(
         grid=grid,
         beta=beta,
-        model=_rational_model(2.0),
+        model=model,
         source=F,
         flux=zero_flux(grid),
         g=np.zeros((grid.nx, grid.ny)),

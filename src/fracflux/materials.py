@@ -2,10 +2,9 @@
 
 Three model kinds: a constant coefficient, the Ramberg-Osgood engineering
 material law in units of the shear compliance (elastic plateau 1 followed by
-a power-law decay beyond the yield threshold T0^2), and a tabulated law,
-linear between its samples (``np.interp``) and clamped to the end samples
-outside them.  The admissible class requires positive two-sided bounds, a
-nonincreasing coefficient and an elastic plateau at the left end.
+a power-law decay beyond the yield threshold T0^2), and the rational law
+1/(1 + T^2) in closed form.  The admissible class requires positive two-sided
+bounds, a nonincreasing coefficient and an elastic plateau at the left end.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import gradient_squared
-
-TABLE_POINTS = 4001  # samples of a tabulated law built from a function
 
 
 class PlasticityModel:
@@ -69,31 +66,14 @@ class RambergOsgood(PlasticityModel):
 
 
 @dataclass(frozen=True)
-class Tabulated(PlasticityModel):
-    """Piecewise-linear coefficient through (T^2, k) samples; clamps outside."""
-
-    t_sq_samples: np.ndarray
-    k_samples: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t_sq_samples, dtype=float)
-        k = np.asarray(self.k_samples, dtype=float)
-        if t.ndim != 1 or t.shape != k.shape or len(t) < 2:
-            raise ValueError("need matching 1-D sample arrays with >= 2 points")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("T^2 samples must be strictly increasing")
-        if np.any(k <= 0.0):
-            raise ValueError("coefficient samples must be positive")
-        object.__setattr__(self, "t_sq_samples", t)
-        object.__setattr__(self, "k_samples", k)
-
-    @classmethod
-    def from_function(cls, fn, t_sq_max: float) -> "Tabulated":
-        t = np.linspace(0.0, t_sq_max, TABLE_POINTS)
-        return cls(t_sq_samples=t, k_samples=np.asarray(fn(t), dtype=float))
+class Rational(PlasticityModel):
+    """k = 1/(1 + T^2), with its derivative k' = -1/(1 + T^2)^2; no plateau."""
 
     def k(self, t_sq):
-        return np.interp(self._check(t_sq), self.t_sq_samples, self.k_samples)
+        return 1.0 / (1.0 + self._check(t_sq))
+
+    def k_prime(self, t_sq):
+        return -1.0 / (1.0 + self._check(t_sq)) ** 2
 
 
 def kappa_from_iterate(model: PlasticityModel, grid, values: np.ndarray) -> np.ndarray:

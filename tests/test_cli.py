@@ -346,8 +346,24 @@ def test_invalid_value_is_config_error(tmp_path, text):
             FORWARD_CFG.replace("nx = 6\nny = 6", "h = 0.2\ntau = 0.1\nnx = 6\nny = 6"),
             "[grid] nx, [grid] ny, [grid] nt",
         ),
+        # each mode reads only its own sections and keys
+        (FORWARD_CFG + "\n[cgm]\nmax_iter = 3\n\n[noise]\nseed = 5\n", "[cgm], [noise]"),
+        (
+            FORWARD_CFG.replace("mode = forward\npreset = Fwd1", "mode = adjoint\npreset = Adj2").replace(
+                "theta_bar = 1e-3", "fixed_iters = 2\nmax_outer = 5"
+            ),
+            "[picard] max_outer",
+        ),
+        (
+            INVERT_CFG.replace("seed = 99", "seed = 99\ngammas = 0, 0.01")
+            + "\n[picard]\ntheta_bar = 1e-8\n\n[output]\ntimes = 0.5\n",
+            "[picard], [output], [noise] gammas",
+        ),
+        (INVERT_CFG.replace("mode = invert", "mode = table"), "[noise] gamma"),
     ],
-    ids=["misspelt_key", "unknown_section", "nx_next_to_h"],
+    ids=["misspelt_key", "unknown_section", "nx_next_to_h",
+         "forward_reads_no_cgm_or_noise", "adjoint_fixed_iters_reads_no_max_outer",
+         "invert_reads_no_picard_output_or_gammas", "table_reads_no_gamma"],
 )
 def test_unused_key_is_config_error(tmp_path, capsys, text, unused):
     # a key the run never reads would otherwise leave its default in force unannounced
@@ -380,6 +396,8 @@ def _ini_files(draw):
     mode, preset = draw(st.sampled_from(_PAIRS))
     if draw(st.integers(0, 4)) == 2:
         preset = draw(st.sampled_from(sorted(PRESETS)))
+    direct = mode in ("forward", "adjoint")
+    own = {"run", "grid", "problem"} | ({"picard", "output"} if direct else {"cgm", "noise"})
     grid = draw(st.sampled_from(["h", "nx"]))
     sections = {
         "run": {"mode": value(mode), "preset": value(preset)},
@@ -392,11 +410,17 @@ def _ini_files(draw):
         "picard": {"theta_bar": value(1e-3, 1e-16, 0.0), "fixed_iters": value(0, 2), "max_outer": value(1, 3)},
         # never absent and at most 2, so that every inversion stays short
         "cgm": {"max_iter": draw(st.one_of(st.sampled_from([0, 1, 2]), _GARBAGE))},
-        "noise": {"gamma": value(0.0, 0.01), "gammas": value("0", "0, 0.01"), "seed": value(0, 5)},
+        "noise": {
+            "gamma": value(0.0, 0.01) if mode != "table" else None,
+            "gammas": value("0", "0, 0.01") if mode != "invert" else None,
+            "seed": value(0, 5),
+        },
         "output": {"times": value("0.5", "0, 1", "3", "-1")},
     }
     lines = ["not an ini line"] if draw(st.integers(0, 19)) == 9 else []
     for name, keys in sections.items():
+        if name not in own and draw(st.integers(0, 9)) != 4:
+            continue  # a section of another mode, present now and then
         if name != "cgm" and draw(st.integers(0, 9)) == 4:
             continue  # a missing section
         lines.append(f"[{name}]")

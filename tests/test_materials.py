@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracflux.experiments import PRESETS
 from fracflux.materials import (
     Constant,
+    PlasticityModel,
     RambergOsgood,
-    Tabulated,
+    Rational,
     kappa_from_iterate,
     validate_class_K,
 )
@@ -67,23 +69,30 @@ def test_ramberg_osgood_monotone_past_threshold(t1, factor, kap):
     assert m.k(t1 * factor) <= m.k(t1)
 
 
-def test_tabulated_interpolation_and_clamping():
-    m = Tabulated(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.5]))
-    assert m.k(0.5) == pytest.approx(1.5)
-    assert m.k(5.0) == pytest.approx(0.5)  # clamped right
-
-
-def test_tabulated_from_function_matches_formula():
-    m = Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 2.0)
-    s = np.linspace(0.0, 2.0, 57)
-    assert m.k(s) == pytest.approx(1.0 / (1.0 + s), abs=1e-6)
-
-
-def test_tabulated_validation():
+def test_rational_model_values():
+    assert Rational().k(0.0) == 1.0
+    assert Rational().k(3.0) == 0.25
+    assert Rational().k_prime(1.0) == -0.25
     with pytest.raises(ValueError):
-        Tabulated(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
+        Rational().k(-0.5)
     with pytest.raises(ValueError):
-        Tabulated(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        Rational().k_prime(-0.5)
+
+
+def test_rational_k_prime_matches_central_differences():
+    m = Rational()
+    s = np.linspace(0.0, 10.0, 201)[1:]  # central differences need s - h >= 0
+    h = 1e-5
+    fd = (m.k(s + h) - m.k(s - h)) / (2.0 * h)
+    assert m.k_prime(s) == pytest.approx(fd, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["Fwd1", "Adj2", "Inv1"])
+def test_rational_presets_use_the_closed_form_past_any_table_end(preset):
+    # CGM iterates on Inv1 reach s = 5.68, beyond any s of the exact solutions
+    model = PRESETS[preset](Grid(nx=4, ny=4, nt=2), 0.3).problem.model
+    s = np.array([2.5, 5.68, 10.0])
+    assert np.array_equal(model.k(s), 1.0 / (1.0 + s))
 
 
 def test_k_field_constant_iterate_hits_plateau():
@@ -114,8 +123,14 @@ def test_validate_class_K_soft_preset():
     assert 0.0 < rep.c0 <= rep.c1
 
 
+class _Increasing(PlasticityModel):
+    """k = 1 + T^2, increasing and so outside the admissible class."""
+
+    def k(self, t_sq):
+        return 1.0 + self._check(t_sq)
+
+
 def test_validate_class_K_flags_increasing_table():
-    m = Tabulated(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-    rep = validate_class_K(m, (0.0, 1.0))
+    rep = validate_class_K(_Increasing(), (0.0, 1.0))
     assert not rep.monotone_ok
     assert not rep.ok

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 from fracflux import solver
 from fracflux.cgm import INNER_PICARD
 from fracflux.fracops import l1_weights
-from fracflux.materials import Constant, Tabulated
+from fracflux.materials import Constant, Rational
 from fracflux.mesh import (
     BoundaryTrace,
     Edge,
@@ -318,7 +318,7 @@ def test_solve_report_sums_factors_and_cg_levels_over_sweeps(monkeypatch):
     problem = NonlinearProblem(
         grid=g,
         beta=0.5,
-        model=Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0),
+        model=Rational(),
         source=np.repeat(2.0 * np.sin(np.pi * X * Y)[:, :, None], g.nt + 1, axis=2),
         flux=zero_flux(g),
         g=np.zeros((g.nx, g.ny)),
@@ -332,9 +332,9 @@ def test_solve_report_sums_factors_and_cg_levels_over_sweeps(monkeypatch):
     assert (report.factorizations, report.cg_levels) == (2, 0)
 
 
-def test_nonlinear_tabulated_model_converges():
+def test_nonlinear_rational_model_converges():
     g = Grid(nx=9, ny=9, nt=20)
-    model = Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0)
+    model = Rational()
     X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
     problem = NonlinearProblem(
         grid=g,
@@ -352,7 +352,7 @@ def test_nonlinear_tabulated_model_converges():
 
 def test_nonlinear_reports_failure_when_tolerance_unreachable():
     g = Grid(nx=7, ny=7, nt=10)
-    model = Tabulated.from_function(lambda s: 1.0 / (1.0 + s), 10.0)
+    model = Rational()
     problem = NonlinearProblem(
         grid=g,
         beta=0.5,
