@@ -11,6 +11,7 @@ discretization).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,7 +113,7 @@ def _separable_example(
     return ForwardExample(problem=problem, exact=exact)
 
 
-def make_forward_example1(beta: float, grid: Grid) -> ForwardExample:
+def make_forward_example1(grid: Grid, beta: float) -> ForwardExample:
     """Direct problem with exact solution E_beta(-t^beta) (1-x)(1-y).
 
     The time factor solves the fractional relaxation equation, so its
@@ -128,7 +129,7 @@ def _reversed(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[..., ::-1])
 
 
-def make_adjoint_example2(beta: float, grid: Grid) -> ForwardExample:
+def make_adjoint_example2(grid: Grid, beta: float) -> ForwardExample:
     """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
 
     The right-sided fractional derivative of the time factor is
@@ -151,7 +152,7 @@ def make_adjoint_example2(beta: float, grid: Grid) -> ForwardExample:
     return ForwardExample(problem=problem, exact=Field(grid, _reversed(ex.exact.values)))
 
 
-def make_inverse_example1(beta: float, grid: Grid) -> InverseExample:
+def make_inverse_example1(grid: Grid, beta: float) -> InverseExample:
     """Identification case with exact solution t^beta log(2-x) (1-y).
 
     The coefficient is k(s) = 1/(1 + s); the exact fluxes and boundary data
@@ -273,10 +274,10 @@ def noisy_observations(obs: Observations, spec: NoiseSpec) -> Observations:
 
 
 PRESETS = {
-    "Fwd1": lambda grid, beta: make_forward_example1(beta, grid),
-    "Adj2": lambda grid, beta: make_adjoint_example2(beta, grid),
-    "Inv1": lambda grid, beta: make_inverse_example1(beta, grid),
-    "Inv2": lambda grid, beta: make_inverse_example2(grid, beta),
-    "Inv3Soft": lambda grid, beta: make_inverse_example3("soft", grid, beta),
-    "Inv3Stiff": lambda grid, beta: make_inverse_example3("stiff", grid, beta),
+    "Fwd1": make_forward_example1,
+    "Adj2": make_adjoint_example2,
+    "Inv1": make_inverse_example1,
+    "Inv2": make_inverse_example2,
+    "Inv3Soft": functools.partial(make_inverse_example3, "soft"),
+    "Inv3Stiff": functools.partial(make_inverse_example3, "stiff"),
 }

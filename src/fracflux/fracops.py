@@ -50,8 +50,8 @@ def l1_weights(beta: float, tau: float, nt: int) -> L1Weights:
     """Build L1 weights for ``nt`` time steps of size ``tau``."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"fractional order must be in (0, 1), got {beta}")
-    if tau <= 0.0 or nt < 1:
-        raise ValueError("need tau > 0 and nt >= 1")
+    if not 0.0 < tau < np.inf or nt < 1:  # also false for nan
+        raise ValueError("need 0 < tau < inf and nt >= 1")
     j = np.arange(nt, dtype=float)
     b = (j + 1.0) ** (1.0 - beta) - j ** (1.0 - beta)
     scale = tau ** (-beta) / math.gamma(2.0 - beta)

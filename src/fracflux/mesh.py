@@ -10,6 +10,7 @@ All integrals are composite trapezoid rules in space and time.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class Grid:
     t_final: float = 1.0
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny, self.nt)):
+            raise ValueError("grid needs integer nx, ny and nt")
         if self.nx < 3 or self.ny < 3 or self.nt < 1 or not 0.0 < self.t_final < np.inf:
             raise ValueError("grid needs nx, ny >= 3, nt >= 1, 0 < t_final < inf")
 

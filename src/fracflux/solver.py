@@ -10,13 +10,15 @@ x=0 and y=0 enter the right-hand side through the boundary face integrals.
 Time uses the L1 scheme, so every level solves
 ``(scale*V + L_n) u^n = rhs(history)``.
 
-``GridOperator`` owns the per-level matrices and their LU factors (levels with
-identical coefficient slices share one factorization) and also implements the
-transpose recursion that yields the exact gradient of the discrete boundary
-misfit with respect to the two fluxes.  The five-point sparsity pattern is
-built once per grid and cached; every level refills its values and is
-factored in the natural order: the lexicographic numbering of the unknowns
-is already a band ordering, of bandwidth ny-1.
+``GridOperator`` owns one sparse matrix and the LU factors of its levels
+(levels with identical coefficient slices share one factorization) and also
+implements the transpose recursion that yields the exact gradient of the
+discrete boundary misfit with respect to the two fluxes.  The matrix is built
+once per operator, with the five-point stencil written in CSC order; each
+level overwrites its values, and SuperLU copies them into its own factors, so
+a refill never reaches a factor already built.  Levels are factored in the
+natural order: the lexicographic numbering of the unknowns is already a band
+ordering, of bandwidth ny-1.
 
 A march does not factor a level whose coefficient lies within a relative
 drift ``_DRIFT`` (3e-3) of the held factor's coefficient at every node: it
@@ -29,7 +31,6 @@ sensitivity marches after it solve directly on its factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +43,10 @@ from .materials import PlasticityModel, kappa_from_iterate
 from .mesh import (
     BoundaryFlux,
     BoundaryTrace,
+    Edge,
     Field,
     Grid,
+    edge_weights,
     spacetime_h1_diff,
     time_weights,
 )
@@ -134,28 +137,6 @@ class SolveReport:
     cg_levels: int = 0
 
 
-@functools.lru_cache(maxsize=16)
-def _five_point_pattern(mx: int, my: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC ``indices`` and ``indptr`` of the five-point matrix on mx x my unknowns.
-
-    Also returns the permutation that takes the values in ``_assemble``'s entry
-    order (diagonal, x-neighbours both ways, y-neighbours both ways) to CSC
-    order, rows sorted within each column.  The arrays are shared by every
-    operator on the grid and are read-only.
-    """
-    P = np.arange(mx * my).reshape(mx, my)
-    rx, cx = P[:-1, :].ravel(), P[1:, :].ravel()
-    ry, cy = P[:, :-1].ravel(), P[:, 1:].ravel()
-    rows = np.concatenate([P.ravel(), rx, cx, ry, cy])
-    cols = np.concatenate([P.ravel(), cx, rx, cy, ry])
-    perm = np.lexsort((rows, cols))
-    indices = rows[perm].astype(np.intc)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=mx * my))]).astype(np.intc)
-    for a in (indices, indptr, perm):
-        a.flags.writeable = False
-    return indices, indptr, perm
-
-
 def _pcg(A, lu, b: np.ndarray) -> np.ndarray | None:
     """Solve A x = b by CG preconditioned with the factor ``lu``, from x0 = lu.solve(b).
 
@@ -202,10 +183,10 @@ class GridOperator:
 
     Levels whose coefficient slices are identical (detected by comparing
     adjacent levels, which covers the constant-coefficient case) share a
-    single LU factorization; factors are built lazily.  Each level's matrix
-    refills a fresh value array into the grid's cached five-point pattern, and
-    is factored without a fill-reducing reordering (the unknowns are already
-    numbered in band order).  ``adjoint_gradient``
+    single LU factorization; factors are built lazily.  The operator holds one
+    CSC matrix, whose values each level overwrites before it is factored
+    without a fill-reducing reordering (the unknowns are already numbered in
+    band order); a factor keeps its own copy of the values.  ``adjoint_gradient``
     keeps every factor it builds, for the sensitivity marches that reuse its
     operator.  A ``march`` keeps its factor only when one coefficient serves
     every level; otherwise it holds one factor at a time, so a one-shot march
@@ -232,15 +213,21 @@ class GridOperator:
         self.kappa = kappa
         mx, my = grid.nx - 1, grid.ny - 1
         self.mx, self.my = mx, my
-        dxc = np.full(mx, grid.hx)
-        dxc[0] *= 0.5
-        dyc = np.full(my, grid.hy)
-        dyc[0] *= 0.5
-        self.dxc, self.dyc = dxc, dyc
-        self.vol = np.outer(dxc, dyc).ravel()
-        self._svol = self.w.scale * self.vol.reshape(mx, my)
+        # the cell widths along the flux edges are the trace quadrature's
+        # weights, which makes -lam/wt the L2 gradient in adjoint_gradient
+        self.dxc = edge_weights(grid, Edge.GAMMA2)[:mx]
+        self.dyc = edge_weights(grid, Edge.GAMMA1)[:my]
+        self.vol = np.outer(self.dxc, self.dyc).ravel()
+        self.svol = self.w.scale * self.vol
         self.P = np.arange(mx * my).reshape(mx, my)
-        self._pattern = _five_point_pattern(mx, my)
+        # column p = i*my + j holds the rows p-my, p-1, p, p+1 and p+my, in
+        # that order, of those that are unknowns
+        self._stencil = np.zeros((mx, my, 5))
+        self._mask = np.ones((mx, my, 5), dtype=bool)
+        self._mask[0, :, 0] = self._mask[:, 0, 1] = self._mask[:, -1, 3] = self._mask[-1, :, 4] = False
+        rows = self.P[:, :, None] + np.array([-my, -1, 0, 1, my])
+        indptr = np.concatenate([[0], np.cumsum(self._mask.sum(axis=2).ravel())])
+        self._A = sp.csc_matrix((self._stencil[self._mask], rows[self._mask], indptr), shape=(mx * my, mx * my))
         changed = np.any(kappa[:, :, 1:] != kappa[:, :, :-1], axis=(0, 1))
         self._group = np.concatenate([[0], np.cumsum(changed)])
         self._lus: dict[int, object] = {}
@@ -257,15 +244,16 @@ class GridOperator:
         ax = 2.0 * Ka * Kb / (Ka + Kb) * self.dyc[None, :] / hx
         Kc, Kd = K[:mx, :my], K[:mx, 1 : my + 1]
         ay = 2.0 * Kc * Kd / (Kc + Kd) * self.dxc[:, None] / hy
-        diag = self._svol + ax + ay
+        diag = self.svol.reshape(mx, my) + ax + ay
         diag[1:, :] += ax[:-1, :]
         diag[:, 1:] += ay[:, :-1]
-        vx = -ax[:-1, :].ravel()
-        vy = -ay[:, :-1].ravel()
-        vals = np.concatenate([diag.ravel(), vx, vx, vy, vy])
-        indices, indptr, perm = self._pattern
-        # vals[perm] is a fresh array per level, so no factor aliases another's
-        return sp.csc_matrix((vals[perm], indices, indptr), shape=(mx * my, mx * my))
+        S = self._stencil
+        S[:, :, 2] = diag
+        S[1:, :, 0] = S[:-1, :, 4] = -ax[:-1, :]
+        S[:, 1:, 1] = S[:, :-1, 3] = -ay[:, :-1]
+        # a factor keeps its own copy of the values, so refilling them leaves it intact
+        self._A.data[:] = S[self._mask]
+        return self._A
 
     def _factor(self, n: int):
         self.factorizations += 1
@@ -297,7 +285,6 @@ class GridOperator:
         base = self.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, m)
         base[:, row1] -= (f1[:my, 1:] * self.dyc[:, None]).T
         base[:, row2] -= (f2[:mx, 1:] * self.dxc[:, None]).T
-        svol = w.scale * self.vol
         U = np.empty((nt + 1, m))  # U[n] = the unknowns of level n
         U[0] = g[:mx, :my].ravel()
         diffs = np.zeros((nt, m))  # diffs[q-1] = U[q] - U[q-1]
@@ -323,7 +310,7 @@ class GridOperator:
                             if keep:
                                 self._lus[held] = lu
                         limit = drift[n] + _LOG_DRIFT
-                rhs = base[n - 1] + svol * (U[n - 1] - w.history(diffs, n))
+                rhs = base[n - 1] + self.svol * (U[n - 1] - w.history(diffs, n))
                 x = None if A is None else _pcg(A, lu, rhs)
                 if x is not None:
                     self.cg_levels += 1
@@ -363,14 +350,13 @@ class GridOperator:
         base = np.zeros((nt, m))
         base[:, row1] += wt[1:, None] * self.dyc * r1[:my, 1:].T
         base[:, row2] += wt[1:, None] * self.dxc * r2[:mx, 1:].T
-        svol = w.scale * self.vol
         lam = np.zeros((nt + 1, m))
         for n in range(nt, 0, -1):
             gid = self._group[n]
             lu = self._lus.get(gid)
             if lu is None:
                 lu = self._lus[gid] = self._factor(n)
-            lam[n] = lu.solve(base[n - 1] + svol * w.history_transpose(lam, n))
+            lam[n] = lu.solve(base[n - 1] + self.svol * w.history_transpose(lam, n))
         g1 = np.zeros((grid.ny, nt + 1))
         g2 = np.zeros((grid.nx, nt + 1))
         g1[:my, 1:] = -(lam[1:, row1] / wt[1:, None]).T
@@ -436,9 +422,13 @@ def solve_sensitivity(op: GridOperator, s1: BoundaryTrace | None = None, s2: Bou
 
     ``op`` carries the grid, the order and the frozen coefficient; the march
     reuses the factors its ``adjoint_gradient`` cached.  A missing flux is
-    zero.
+    zero; ``s1`` must be a Gamma1 trace and ``s2`` a Gamma2 trace on the
+    operator's grid.
     """
     grid = op.grid
+    for name, s, edge in (("s1", s1, Edge.GAMMA1), ("s2", s2, Edge.GAMMA2)):
+        if s is not None and (s.edge is not edge or s.grid != grid):
+            raise ValueError(f"{name} must be a {edge.value} trace on the operator's grid")
     f1 = s1.values if s1 is not None else np.zeros((grid.ny, grid.nt + 1))
     f2 = s2.values if s2 is not None else np.zeros((grid.nx, grid.nt + 1))
     source = np.zeros((grid.nx, grid.ny, grid.nt + 1))

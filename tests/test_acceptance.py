@@ -51,7 +51,7 @@ def test_criterion_01_forward_manufactured_convergence():
     # space-time H1 error within a factor of 3 of the reference values
     ref_eta = [4, 7, 9, 19]
     ref_err = [1.23e-2, 4.91e-3, 3.73e-3, 2.84e-3]
-    example = make_forward_example1(0.3, FULL_GRID)
+    example = make_forward_example1(FULL_GRID, 0.3)
     lines = []
     for theta, re_eta, re_err in zip([5e-3, 1e-3, 5e-4, 1e-4], ref_eta, ref_err):
         start = time.perf_counter()
@@ -66,7 +66,7 @@ def test_criterion_01_forward_manufactured_convergence():
 
 
 def test_criterion_02_adjoint_manufactured_convergence():
-    example = make_adjoint_example2(0.7, FULL_GRID)
+    example = make_adjoint_example2(FULL_GRID, 0.7)
     start = time.perf_counter()
     u, rep = solve_nonlinear(example.problem, PicardConfig(theta_bar=1e-4))
     wall = time.perf_counter() - start
@@ -133,7 +133,7 @@ def test_criterion_04_cgm_monotone_cost_and_vanishing_gradient():
 
 @pytest.fixture(scope="module")
 def inv1_clean():
-    example = make_inverse_example1(0.3, REDUCED_GRID)
+    example = make_inverse_example1(REDUCED_GRID, 0.3)
     start = time.perf_counter()
     rep = run_cgm(example.problem, example.observations, max_iter=1000,
                   exact_flux=example.exact_flux)

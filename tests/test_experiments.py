@@ -30,14 +30,14 @@ def grid():
 
 
 def test_forward_example1_initial_state(grid):
-    ex = make_forward_example1(0.3, grid)
+    ex = make_forward_example1(grid, 0.3)
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     assert ex.exact.values[:, :, 0] == pytest.approx((1 - X) * (1 - Y), abs=1e-14)
     assert ex.problem.g == pytest.approx(ex.exact.values[:, :, 0])
 
 
 def test_forward_example1_corner_history_is_mittag_leffler(grid):
-    ex = make_forward_example1(0.5, grid)
+    ex = make_forward_example1(grid, 0.5)
     want = np.asarray(mittag_leffler(0.5, -grid.ts**0.5))
     assert ex.exact.values[0, 0, :] == pytest.approx(want, rel=1e-12)
 
@@ -57,7 +57,7 @@ def test_relaxation_identity_used_by_the_source():
 def test_adjoint_example2_final_state_is_zero(grid):
     # the example is indexed by s = T - t: the final state t = T is level 0,
     # and the corner history is s^(2 beta)
-    ex = make_adjoint_example2(0.3, grid)
+    ex = make_adjoint_example2(grid, 0.3)
     assert np.max(np.abs(ex.exact.values[:, :, 0])) == 0.0
     assert np.max(np.abs(ex.problem.g)) == 0.0
     assert ex.exact.values[0, 0, :] == pytest.approx(grid.ts**0.6, rel=1e-12, abs=1e-14)
@@ -69,7 +69,7 @@ def test_adjoint_example2_reflection_identity():
     # which is the last level s = T of the reversed-time arrays
     beta = 0.5
     g = Grid(nx=5, ny=5, nt=10)
-    ex = make_adjoint_example2(beta, g)
+    ex = make_adjoint_example2(g, beta)
     X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
     psi = (1 - X) * (1 - Y)
     c = math.gamma(2 * beta + 1) / math.gamma(beta + 1)
@@ -84,14 +84,14 @@ def test_adjoint_example2_reflection_identity():
 
 
 def test_inverse_example1_flux_endpoints(grid):
-    ex = make_inverse_example1(0.3, grid)
+    ex = make_inverse_example1(grid, 0.3)
     assert np.max(np.abs(ex.exact_flux.f1.values[-1, :])) == 0.0  # y = 1
     assert np.max(np.abs(ex.exact_flux.f2.values[-1, :])) == 0.0  # x = 1
     assert np.max(np.abs(ex.exact_flux.f1.values[:, 0])) == 0.0  # t = 0
 
 
 def test_inverse_example1_measurements(grid):
-    ex = make_inverse_example1(0.4, grid)
+    ex = make_inverse_example1(grid, 0.4)
     want_h1 = np.outer(math.log(2.0) * (1 - grid.ys), grid.ts**0.4)
     assert ex.observations.h1.values == pytest.approx(want_h1, abs=1e-14)
     want_h2 = np.outer(np.log(2.0 - grid.xs), grid.ts**0.4)
@@ -100,7 +100,7 @@ def test_inverse_example1_measurements(grid):
 
 def test_inverse_example1_self_consistency(grid):
     # feeding the exact flux into the cost leaves only discretization error
-    ex = make_inverse_example1(0.3, grid)
+    ex = make_inverse_example1(grid, 0.3)
     J = cost(replace(ex.problem, flux=ex.exact_flux), ex.observations)
     assert J < 1e-4
     J0 = cost(ex.problem, ex.observations)
@@ -186,7 +186,7 @@ def test_add_noise_realized_level_statistics(grid):
 
 
 def test_noisy_observations_threshold(grid):
-    ex = make_inverse_example1(0.3, grid)
+    ex = make_inverse_example1(grid, 0.3)
     clean = ex.observations
     obs = noisy_observations(clean, NoiseSpec(gamma=0.01, seed=5))
     d1 = trace_norm(BoundaryTrace(grid, Edge.GAMMA1, obs.h1.values - clean.h1.values))
@@ -196,7 +196,7 @@ def test_noisy_observations_threshold(grid):
 
 
 def test_flux_error_metric(grid):
-    ex = make_inverse_example1(0.3, grid)
+    ex = make_inverse_example1(grid, 0.3)
     assert flux_error(ex.exact_flux, ex.exact_flux) == (0.0, 0.0)
     shifted = BoundaryFlux(
         f1=BoundaryTrace(grid, Edge.GAMMA1, ex.exact_flux.f1.values + 0.5),

@@ -33,6 +33,13 @@ def test_weights_rejects_bad_order(bad):
         l1_weights(beta=bad, tau=0.1, nt=10)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
+def test_weights_rejects_bad_step(tau):
+    # nan and inf would give a nan and a zero scale
+    with pytest.raises(ValueError):
+        l1_weights(beta=0.5, tau=tau, nt=10)
+
+
 def test_left_derivative_of_constant_is_zero():
     w = l1_weights(0.4, 0.05, 20)
     hist = np.full(21, 3.7)

@@ -64,6 +64,20 @@ def test_grid_validation():
             Grid.from_spacing(h, tau)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(5.5, 5, 4), (5, 5.0, 4), (5, 5, 4.0), (5, 5, "4")], ids=["nx-float", "ny-float", "nt-float", "nt-str"]
+)
+def test_grid_rejects_non_integer_sizes(sizes):
+    nx, ny, nt = sizes
+    with pytest.raises(ValueError, match="integer"):
+        Grid(nx=nx, ny=ny, nt=nt)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(nx=np.int64(5), ny=np.int32(4), nt=np.int64(3))
+    assert len(g.xs) == 5 and len(g.ys) == 4 and len(g.ts) == 4
+
+
 def test_field_shape_and_finiteness_checks(grid):
     with pytest.raises(ValueError):
         Field(grid, np.zeros((3, 3, 3)))

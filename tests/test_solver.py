@@ -185,11 +185,14 @@ def test_assembly_matches_a_dense_five_point_operator():
                         A[q, p] -= c
         return A
 
-    levels = (1, 3)
-    mats = [op._assemble(n) for n in levels]
-    for n, A in zip(levels, mats):
-        np.testing.assert_allclose(A.toarray(), dense(kappa[:, :, n]), rtol=1e-13, atol=0.0)
-    assert not np.shares_memory(mats[0].data, mats[1].data)
+    A1, D1 = op._assemble(1), dense(kappa[:, :, 1])
+    np.testing.assert_allclose(A1.toarray(), D1, rtol=1e-13, atol=0.0)
+    lu = splu(A1, permc_spec="NATURAL")
+    np.testing.assert_allclose(op._assemble(3).toarray(), dense(kappa[:, :, 3]), rtol=1e-13, atol=0.0)
+    # level 3 refilled the operator's one matrix; level 1's factor still solves level 1
+    b = np.random.default_rng(12).normal(size=mx * my)
+    x = np.linalg.solve(D1, b)
+    assert np.max(np.abs(lu.solve(b) - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_non_finite_level_is_named_without_a_warning():
@@ -393,6 +396,22 @@ def test_sensitivity_superposition():
     assert both.values == pytest.approx(only1.values + only2.values, rel=1e-12, abs=1e-13)
     doubled = solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, 2.0 * s1.values))
     assert doubled.values == pytest.approx(2.0 * only1.values, rel=1e-13, abs=1e-14)
+
+
+def test_sensitivity_rejects_a_trace_on_the_wrong_edge_or_grid():
+    # on a square grid a Gamma2 trace has the shape of a Gamma1 trace
+    g = Grid(nx=5, ny=5, nt=4)
+    op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
+    values = np.ones((g.ny, g.nt + 1))
+    other = Grid(nx=5, ny=5, nt=4, t_final=2.0)
+    for kwargs in (
+        {"s1": BoundaryTrace(g, Edge.GAMMA2, values)},
+        {"s2": BoundaryTrace(g, Edge.GAMMA1, values)},
+        {"s1": BoundaryTrace(other, Edge.GAMMA1, values)},
+        {"s2": BoundaryTrace(other, Edge.GAMMA2, values)},
+    ):
+        with pytest.raises(ValueError, match="trace on the operator's grid"):
+            solve_sensitivity(op, **kwargs)
 
 
 def test_discrete_fractional_summation_by_parts():
