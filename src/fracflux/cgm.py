@@ -12,6 +12,7 @@ triggers one steepest-descent retry and then step halvings, ``MAX_BACKTRACKS``
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,15 +89,25 @@ class IterationRecord:
 
 @dataclass
 class CgmReport:
+    """Outcome of ``run_cgm``.
+
+    ``forward_solves`` counts the nonlinear forward solves of the run, the
+    first and every trial step's, a trial whose solve raised included;
+    ``unconverged_solves`` counts those whose ``SolveReport.converged`` was
+    False, for example because they stopped at the ``INNER_PICARD`` sweep cap.
+    """
+
     k_star: int
     J_history: list
     reconstructed: BoundaryFlux
     stop_reason: StopReason
     records: list[IterationRecord]
+    forward_solves: int
+    unconverged_solves: int
 
 
 def _forward_state(problem: NonlinearProblem, obs: Observations):
-    """Frozen coefficient, boundary residuals and misfit of the forward solve at ``problem.flux``."""
+    """Frozen coefficient, boundary residuals, misfit and convergence flag of the forward solve at ``problem.flux``."""
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
     u, rep = solve_nonlinear(problem, INNER_PICARD)
@@ -107,7 +118,7 @@ def _forward_state(problem: NonlinearProblem, obs: Observations):
         trace_norm(BoundaryTrace(g, Edge.GAMMA1, r1)) ** 2
         + trace_norm(BoundaryTrace(g, Edge.GAMMA2, r2)) ** 2
     )
-    return rep.kappa, r1, r2, J
+    return rep.kappa, r1, r2, J, rep.converged
 
 
 def cost(problem: NonlinearProblem, obs: Observations) -> float:
@@ -125,7 +136,7 @@ def _adjoint_state(problem: NonlinearProblem, kappa: np.ndarray, r1: np.ndarray,
 
 def gradient(problem: NonlinearProblem, obs: Observations):
     """Misfit gradient with respect to (f1, f2) at the problem's flux, as L2 boundary traces."""
-    kappa, r1, r2, _ = _forward_state(problem, obs)
+    kappa, r1, r2, _, _ = _forward_state(problem, obs)
     return _adjoint_state(problem, kappa, r1, r2)[1:]
 
 
@@ -183,7 +194,10 @@ def run_cgm(
     (``MAX_BACKTRACKS`` + 2 trials) declares stagnation.  Every accepted step
     and a discrepancy stop log one ``IterationRecord``; with ``exact_flux``
     the records carry the flux errors of the iterate they start from.
+    ``max_iter`` must be a non-negative integer.
     """
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     grid = problem.grid
     f = problem.flux
 
@@ -191,8 +205,9 @@ def run_cgm(
     S1 = S2 = gn_prev = None
     k = 0
 
-    kappa, r1, r2, J = _forward_state(problem, obs)
+    kappa, r1, r2, J, converged = _forward_state(problem, obs)
     J_history = [J]
+    forward_solves, unconverged_solves = 1, int(not converged)
 
     while True:
         errors = flux_error(f, exact_flux) if exact_flux is not None else (0.0, 0.0)
@@ -226,10 +241,13 @@ def run_cgm(
         accepted = None
         for _ in range(MAX_BACKTRACKS + 2):
             f_try = _update_flux(grid, f, z1, S1, z2, S2)
+            forward_solves += 1
             try:
-                kappa_try, r1_try, r2_try, J_try = _forward_state(replace(problem, flux=f_try), obs)
+                kappa_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
             except SolverError:
                 J_try = np.inf  # diverging trial step: reject and shrink
+            else:
+                unconverged_solves += not converged
             if J_try < J:
                 accepted = (f_try, kappa_try, r1_try, r2_try, J_try)
                 break
@@ -257,6 +275,8 @@ def run_cgm(
         reconstructed=f,
         stop_reason=stop_reason,
         records=records,
+        forward_solves=forward_solves,
+        unconverged_solves=unconverged_solves,
     )
 
 

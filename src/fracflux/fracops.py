@@ -2,9 +2,15 @@
 
 The left Caputo derivative of order ``beta`` in (0, 1) is discretized on a
 uniform time grid by the standard L1 scheme.  ``L1Weights`` owns its memory
-term in both directions: ``history`` is the sum over past increments that the
-forward march subtracts at each level, and ``history_transpose`` is its exact
-transpose, the sum over later levels that the backward adjoint recursion adds.
+term in both directions, split at the boundaries of blocks of ``_BLOCK``
+levels.  The forward march subtracts, at level n, the sum over all earlier
+increments: ``far_history`` gives the part over the increments from before
+n's block, for every level of the block in one matrix product, and
+``near_history`` the part over the block's own increments.  The backward
+adjoint recursion adds the exact transpose, the sum over later levels, split
+the same way by ``far_history_transpose`` and ``near_history_transpose``.
+The split only regroups the exact L1 sums, so that BLAS runs most of their
+O(nt^2 m) work as matrix-matrix products; it moves them by round-off.
 """
 
 from __future__ import annotations
@@ -13,6 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# levels per block of the memory sums: at 11x11 and 21x21 nodes and
+# nt = 1000 or 2000, 16 to 128 levels time within the noise of one another
+# and 8 is slower (one BLAS thread)
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -21,10 +33,13 @@ class L1Weights:
 
     ``b[j] = (j+1)^(1-beta) - j^(1-beta)``, ``db[q-1] = b[q-1] - b[q] > 0`` and
     ``scale = tau^-beta / Gamma(2-beta)``.  With increments
-    ``d[m] = u^{m+1} - u^m`` the derivative at level n is
-    ``scale * (d[n-1] + history(d, n))``.  ``b_rev`` is a contiguous copy of
-    ``b`` reversed, so that ``history`` reads ``d`` forward: a negative stride
-    on either operand keeps numpy from handing the product to BLAS.
+    ``d[k] = u^{k+1} - u^k`` the derivative at level n is
+    ``scale * (d[n-1] + sum_{j=1}^{n-1} b_j d[n-1-j])``; the memory sum is
+    ``far_history`` plus ``near_history`` over n's block from ``blocks``.
+    ``b_rev`` is a contiguous copy of ``b`` reversed, so that the sums read
+    ``d`` forward, and every weight block handed to a product is a contiguous
+    copy: a negative stride, or a window whose rows overlap, keeps numpy from
+    handing the product to BLAS.
     """
 
     b: np.ndarray
@@ -35,15 +50,33 @@ class L1Weights:
     def __post_init__(self):
         object.__setattr__(self, "b_rev", np.ascontiguousarray(self.b[::-1]))
 
-    def history(self, d: np.ndarray, n: int):
-        """Memory sum ``sum_{j=1}^{n-1} b_j d[n-1-j]`` over axis 0 of ``d``."""
+    def blocks(self) -> list[tuple[int, int]]:
+        """The pairs (n0, n1) whose levels n0 < n <= n1 form one block, in time order."""
         nt = len(self.b)
-        return self.b_rev[nt - n : nt - 1] @ d[: n - 1]
+        return [(n0, min(n0 + _BLOCK, nt)) for n0 in range(0, nt, _BLOCK)]
 
-    def history_transpose(self, lam: np.ndarray, n: int):
-        """Transposed memory sum ``sum_{q=1}^{nt-n} (b_{q-1} - b_q) lam[n+q]``."""
+    def far_history(self, d: np.ndarray, n0: int, n1: int) -> np.ndarray:
+        """Row n-n0-1 is ``sum_{k<n0} b_{n-1-k} d[k]`` for n0 < n <= n1, over axis 0 of ``d``."""
         nt = len(self.b)
-        return self.db[: nt - n] @ lam[n + 1 : nt + 1]
+        # row i of the window is b_rev[nt-n1+i : nt-n1+i+n0], the weights of level n1-i
+        toeplitz = np.ascontiguousarray(sliding_window_view(self.b_rev, n0)[nt - n1 : nt - n0][::-1])
+        return toeplitz @ d[:n0]
+
+    def near_history(self, d: np.ndarray, n0: int, n: int):
+        """``sum_{k=n0}^{n-2} b_{n-1-k} d[k]`` over axis 0 of ``d``: at most ``_BLOCK`` - 1 terms."""
+        nt = len(self.b)
+        return self.b_rev[nt - n + n0 : nt - 1] @ d[n0 : n - 1]
+
+    def far_history_transpose(self, lam: np.ndarray, n0: int, n1: int) -> np.ndarray:
+        """Row n-n0-1 is ``sum_{p>n1} db[p-n-1] lam[p]`` for n0 < n <= n1, over axis 0 of ``lam``."""
+        nt = len(self.b)
+        # row i of the window is db[i : i+nt-n1], the weights of level n1-i
+        toeplitz = np.ascontiguousarray(sliding_window_view(self.db, nt - n1)[: n1 - n0][::-1])
+        return toeplitz @ lam[n1 + 1 : nt + 1]
+
+    def near_history_transpose(self, lam: np.ndarray, n: int, n1: int):
+        """``sum_{p=n+1}^{n1} db[p-n-1] lam[p]`` over axis 0 of ``lam``: at most ``_BLOCK`` - 1 terms."""
+        return self.db[: n1 - n] @ lam[n + 1 : n1 + 1]
 
 
 def l1_weights(beta: float, tau: float, nt: int) -> L1Weights:

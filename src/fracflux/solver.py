@@ -8,7 +8,12 @@ scheme (harmonic-mean face coefficients) on the unknowns i < nx-1,
 j < ny-1; the Dirichlet edges x=1 and y=1 are eliminated, the flux edges
 x=0 and y=0 enter the right-hand side through the boundary face integrals.
 Time uses the L1 scheme, so every level solves
-``(scale*V + L_n) u^n = rhs(history)``.
+``(scale*V + L_n) u^n = rhs(history)``.  The memory sums are taken in the
+blocks of levels of ``L1Weights.blocks``: once per block, a march subtracts
+from the right-hand sides of all the block's levels the memory of the
+increments before it, in one matrix product, and each level adds only the
+memory of its own block's increments; the adjoint recursion does the same
+with the transposed sums, block by block backward in time.
 
 ``GridOperator`` owns one sparse matrix and the LU factors of its levels
 (levels with identical coefficient slices share one factorization) and also
@@ -32,6 +37,7 @@ sensitivity marches after it solve directly on its factors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +117,8 @@ class PicardConfig:
     def __post_init__(self):
         if self.theta_bar is None and self.fixed_iters is None:
             raise ValueError("need theta_bar or fixed_iters")
+        if not all(isinstance(n, numbers.Integral) for n in (self.max_outer, self.fixed_iters) if n is not None):
+            raise ValueError("max_outer and fixed_iters must be integers")
         if self.theta_bar is not None and not 0.0 < self.theta_bar < np.inf:  # also false for nan
             raise ValueError("theta_bar must be positive and finite")
         if self.fixed_iters is not None and self.fixed_iters < 1:
@@ -298,28 +306,31 @@ class GridOperator:
             drift = np.concatenate([[0.0], np.cumsum(steps)])
         # a non-finite level poisons the later ones; the check after the loop names the first
         with np.errstate(invalid="ignore", over="ignore"):
-            for n in range(1, nt + 1):
-                if self._group[n] != held:
-                    held, A = self._group[n], None
-                    if lu is not None and held not in self._lus and drift[n] <= limit:
-                        A = self._assemble(n)  # the group's levels are solved by CG on lu
+            for n0, n1 in w.blocks():
+                # the memory of the increments before the block, for all its levels at once
+                base[n0:n1] -= self.svol * w.far_history(diffs, n0, n1)
+                for n in range(n0 + 1, n1 + 1):
+                    if self._group[n] != held:
+                        held, A = self._group[n], None
+                        if lu is not None and held not in self._lus and drift[n] <= limit:
+                            A = self._assemble(n)  # the group's levels are solved by CG on lu
+                        else:
+                            lu = self._lus.get(held)
+                            if lu is None:
+                                lu = self._factor(n)
+                                if keep:
+                                    self._lus[held] = lu
+                            limit = drift[n] + _LOG_DRIFT
+                    rhs = base[n - 1] + self.svol * (U[n - 1] - w.near_history(diffs, n0, n))
+                    x = None if A is None else _pcg(A, lu, rhs)
+                    if x is not None:
+                        self.cg_levels += 1
                     else:
-                        lu = self._lus.get(held)
-                        if lu is None:
-                            lu = self._factor(n)
-                            if keep:
-                                self._lus[held] = lu
-                        limit = drift[n] + _LOG_DRIFT
-                rhs = base[n - 1] + self.svol * (U[n - 1] - w.history(diffs, n))
-                x = None if A is None else _pcg(A, lu, rhs)
-                if x is not None:
-                    self.cg_levels += 1
-                else:
-                    if A is not None:  # CG did not converge: factor this level and the rest of its group
-                        A, lu, limit = None, self._factor(n), drift[n] + _LOG_DRIFT
-                    x = lu.solve(rhs)
-                U[n] = x
-                np.subtract(U[n], U[n - 1], out=diffs[n - 1])
+                        if A is not None:  # CG did not converge: factor this level and the rest of its group
+                            A, lu, limit = None, self._factor(n), drift[n] + _LOG_DRIFT
+                        x = lu.solve(rhs)
+                    U[n] = x
+                    np.subtract(U[n], U[n - 1], out=diffs[n - 1])
         finite = np.isfinite(U).all(axis=1)
         if not finite.all():
             raise SolverError(f"non-finite solution at level {int(np.argmin(finite))}")
@@ -351,12 +362,15 @@ class GridOperator:
         base[:, row1] += wt[1:, None] * self.dyc * r1[:my, 1:].T
         base[:, row2] += wt[1:, None] * self.dxc * r2[:mx, 1:].T
         lam = np.zeros((nt + 1, m))
-        for n in range(nt, 0, -1):
-            gid = self._group[n]
-            lu = self._lus.get(gid)
-            if lu is None:
-                lu = self._lus[gid] = self._factor(n)
-            lam[n] = lu.solve(base[n - 1] + self.svol * w.history_transpose(lam, n))
+        for n0, n1 in reversed(w.blocks()):
+            # the memory of the levels after the block, for all its levels at once
+            base[n0:n1] += self.svol * w.far_history_transpose(lam, n0, n1)
+            for n in range(n1, n0, -1):
+                gid = self._group[n]
+                lu = self._lus.get(gid)
+                if lu is None:
+                    lu = self._lus[gid] = self._factor(n)
+                lam[n] = lu.solve(base[n - 1] + self.svol * w.near_history_transpose(lam, n, n1))
         g1 = np.zeros((grid.ny, nt + 1))
         g2 = np.zeros((grid.nx, nt + 1))
         g1[:my, 1:] = -(lam[1:, row1] / wt[1:, None]).T

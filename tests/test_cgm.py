@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracflux import cgm
 from fracflux.cgm import (
     INNER_PICARD,
     RESTART_EVERY,
@@ -16,6 +17,7 @@ from fracflux.cgm import (
     run_cgm,
     step_sizes,
 )
+from fracflux.experiments import PRESETS
 from fracflux.materials import Constant
 from fracflux.mesh import (
     BoundaryFlux,
@@ -202,6 +204,33 @@ def test_run_cgm_max_iter_report(setup):
     assert rep.stop_reason is StopReason.MAX_ITER
     assert rep.k_star == 2
     assert len(rep.J_history) == 3
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, np.nan, "3"])
+def test_run_cgm_rejects_a_max_iter_that_is_not_a_non_negative_integer(setup, bad):
+    # 2.5 ran three iterations, -1 stopped at once with MaxIter and nan ran uncapped
+    problem, obs, _ = setup
+    with pytest.raises(ValueError, match="max_iter"):
+        run_cgm(problem, obs, max_iter=bad)
+
+
+@pytest.mark.parametrize("preset, unconverged", [("Inv2", False), ("Inv1", True)])
+def test_run_cgm_counts_forward_solves_and_unconverged_ones(monkeypatch, preset, unconverged):
+    # constant k converges at the second sweep; Inv1's k = 1/(1+s) stops at the sweep cap
+    example = PRESETS[preset](Grid.from_spacing(0.25, 0.25), 0.5)
+    calls, reports = [], []
+
+    def counting(problem, cfg):
+        calls.append(1)  # a diverging trial raises and returns no report
+        u, rep = solve_nonlinear(problem, cfg)
+        reports.append(rep)
+        return u, rep
+
+    monkeypatch.setattr(cgm, "solve_nonlinear", counting)
+    rep = run_cgm(example.problem, example.observations, max_iter=2)
+    assert rep.forward_solves == len(calls) >= rep.k_star + 1
+    assert rep.unconverged_solves == sum(not r.converged for r in reports)
+    assert (rep.unconverged_solves > 0) is unconverged
 
 
 def test_run_cgm_records(setup):

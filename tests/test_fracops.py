@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from fracflux.fracops import l1_weights, mittag_leffler
+from fracflux.fracops import _BLOCK, l1_weights, mittag_leffler
 from l1_caputo import caputo
 
 
@@ -88,22 +88,56 @@ def test_left_apply_linearity(a, b, seed):
     assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
 
-@pytest.mark.parametrize("nt", [1, 2, 37])
+# nt inside one block, at and next to its end, and past three block boundaries
+BLOCK_NT = [1, 2, 37, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@pytest.mark.parametrize("nt", BLOCK_NT)
 @pytest.mark.parametrize("cols", [(), (7,)])
 def test_history_is_the_written_out_memory_sum(nt, cols):
-    # sum_{j=1}^{n-1} b_j d[n-1-j] term by term; a reordered sum may differ by
-    # round-off relative to the sum of the magnitudes of its terms
+    # far block + near part is sum_{j=1}^{n-1} b_j d[n-1-j] term by term; a
+    # reordered sum may differ by round-off relative to the sum of the
+    # magnitudes of its terms
     w = l1_weights(0.35, 0.02, nt)
     d = np.random.default_rng(nt).normal(size=(nt, *cols))
-    for n in range(1, nt + 1):
-        want = np.zeros(cols)
-        size = np.zeros(cols)
-        for j in range(1, n):
-            want = want + w.b[j] * d[n - 1 - j]
-            size = size + np.abs(w.b[j] * d[n - 1 - j])
-        got = w.history(d, n)
-        assert np.shape(got) == cols
-        assert np.all(np.abs(got - want) <= 1e-13 * size), n
+    levels = []
+    for n0, n1 in w.blocks():
+        far = w.far_history(d, n0, n1)
+        assert far.shape == (n1 - n0, *cols)
+        for n in range(n0 + 1, n1 + 1):
+            levels.append(n)
+            want = np.zeros(cols)
+            size = np.zeros(cols)
+            for j in range(1, n):
+                want = want + w.b[j] * d[n - 1 - j]
+                size = size + np.abs(w.b[j] * d[n - 1 - j])
+            got = far[n - n0 - 1] + w.near_history(d, n0, n)
+            assert np.shape(got) == cols
+            assert np.all(np.abs(got - want) <= 1e-13 * size), n
+    assert levels == list(range(1, nt + 1))
+
+
+@pytest.mark.parametrize("nt", BLOCK_NT)
+@pytest.mark.parametrize("cols", [(), (7,)])
+def test_history_transpose_is_the_written_out_sum(nt, cols):
+    # far block + near part is sum_{q=1}^{nt-n} (b_{q-1} - b_q) lam[n+q] term by term
+    w = l1_weights(0.35, 0.02, nt)
+    lam = np.random.default_rng(nt + 1).normal(size=(nt + 1, *cols))
+    levels = []
+    for n0, n1 in reversed(w.blocks()):
+        far = w.far_history_transpose(lam, n0, n1)
+        assert far.shape == (n1 - n0, *cols)
+        for n in range(n1, n0, -1):
+            levels.append(n)
+            want = np.zeros(cols)
+            size = np.zeros(cols)
+            for q in range(1, nt - n + 1):
+                want = want + (w.b[q - 1] - w.b[q]) * lam[n + q]
+                size = size + np.abs((w.b[q - 1] - w.b[q]) * lam[n + q])
+            got = far[n - n0 - 1] + w.near_history_transpose(lam, n, n1)
+            assert np.shape(got) == cols
+            assert np.all(np.abs(got - want) <= 1e-13 * size), n
+    assert levels == list(range(nt, 0, -1))
 
 
 def test_right_derivative_of_constant_is_zero():

@@ -7,13 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from fracflux import solver
 from fracflux.cgm import INNER_PICARD
-from fracflux.fracops import l1_weights
+from fracflux.fracops import _BLOCK, l1_weights
 from fracflux.materials import Constant, Rational
 from fracflux.mesh import (
     BoundaryTrace,
@@ -371,11 +371,16 @@ def test_nonlinear_reports_failure_when_tolerance_unreachable():
     assert str(info.value).endswith(f"in 4 sweeps; last increment {history[-1]:.1e}")
     # a sweep budget below one would return the zero iterate unreported; an
     # infinite tolerance would report the first sweep as converged, and a nan
-    # one would run every sweep and then fail
+    # one would run every sweep and then fail; a sweep budget that is not an
+    # integer fails only inside solve_nonlinear, with a TypeError
     for bad in (
         {"fixed_iters": 0},
         {"fixed_iters": -2},
+        {"fixed_iters": 2.5},
+        {"fixed_iters": 3.0},
         {"max_outer": 0},
+        {"max_outer": np.nan},
+        {"max_outer": 10.0},
         {"theta_bar": np.inf},
         {"theta_bar": np.nan},
     ):
@@ -416,9 +421,10 @@ def test_sensitivity_rejects_a_trace_on_the_wrong_edge_or_grid():
 
 def test_discrete_fractional_summation_by_parts():
     # with zero initial/final values the left operator applied level by level
-    # is the exact transpose of the right operator, and history_transpose is
-    # the memory part of that transpose at every level
-    beta, tau, nt = 0.37, 0.1, 12
+    # is the exact transpose of the right operator, and the far block plus the
+    # near part of the transposed memory sum is the memory part of that
+    # transpose at every level, across two block boundaries
+    beta, tau, nt = 0.37, 0.1, 2 * _BLOCK + 5
     w = l1_weights(beta, tau, nt)
     rng = np.random.default_rng(12)
     u = rng.normal(size=nt + 1)
@@ -428,12 +434,15 @@ def test_discrete_fractional_summation_by_parts():
     lhs = sum(caputo(u[: n + 1], w) * v[n] for n in range(1, nt + 1))
     # transpose action: (A^T v)_m = scale (b_0 v^m + sum_q (b_q - b_{q-1}) v^{m+q})
     rhs = 0.0
-    for m in range(1, nt + 1):
-        acc = w.b[0] * v[m]
-        for q in range(1, nt - m + 1):
-            acc += (w.b[q] - w.b[q - 1]) * v[m + q]
-        assert w.scale * (v[m] - w.history_transpose(v, m)) == pytest.approx(w.scale * acc, rel=1e-13)
-        rhs += u[m] * w.scale * acc
+    for n0, n1 in w.blocks():
+        far = w.far_history_transpose(v, n0, n1)
+        for m in range(n0 + 1, n1 + 1):
+            acc = w.b[0] * v[m]
+            for q in range(1, nt - m + 1):
+                acc += (w.b[q] - w.b[q - 1]) * v[m + q]
+            memory = far[m - n0 - 1] + w.near_history_transpose(v, m, n1)
+            assert w.scale * (v[m] - memory) == pytest.approx(w.scale * acc, rel=1e-13)
+            rhs += u[m] * w.scale * acc
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -492,6 +501,9 @@ def test_lu_sharing_between_identical_levels():
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
+# nt past two block boundaries of the memory sums
+@example(nx=4, ny=5, nt=2 * _BLOCK + 7, beta=0.3, seed=3)
+@example(nx=5, ny=3, nt=3 * _BLOCK, beta=0.8, seed=11)
 def test_grid_operator_duality_on_a_drifting_coefficient(nx, ny, nt, beta, seed):
     # the march solves most levels by CG on a held factor, the adjoint factors
     # every level; the two still agree to the duality tolerance
@@ -520,6 +532,9 @@ def test_grid_operator_duality_on_a_drifting_coefficient(nx, ny, nt, beta, seed)
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
+# nt past two block boundaries of the memory sums
+@example(nx=4, ny=5, nt=2 * _BLOCK + 7, beta=0.3, seed=3)
+@example(nx=5, ny=3, nt=3 * _BLOCK, beta=0.8, seed=11)
 def test_grid_operator_duality(nx, ny, nt, beta, seed):
     # sum_i <r_i, trace_i(march(0, d1, d2, 0))> = sum_i <adjoint_gradient(r)_i, d_i>
     # for a positive coefficient that varies between levels, some repeated
