@@ -1,12 +1,16 @@
 """Conjugate gradient identification of the two boundary fluxes.
 
-Each iteration runs one nonlinear forward solve, one adjoint (transpose)
-solve for the gradient, and two linearized sensitivity solves that feed the
-closed-form 2x2 system for the per-flux step sizes; the iteration stops by
-the discrepancy principle.  Directions use Fletcher-Reeves coefficients with
-a restart every ``RESTART_EVERY`` iterations, and a non-decreasing cost
-triggers one steepest-descent retry and then step halvings, ``MAX_BACKTRACKS``
-+ 2 trials in all, before the run is declared stagnated.
+Each iteration runs one adjoint (transpose) solve for the gradient and two
+linearized sensitivity solves that feed the closed-form 2x2 system for the
+per-flux step sizes, then evaluates the trial step; the iteration stops by
+the discrepancy principle.  On a nonlinear model a trial costs one nonlinear
+forward solve.  With a ``Constant`` coefficient the flux-to-trace map is
+affine, so the trial residual is the current one plus the step sizes times
+the sensitivity traces, exactly, and the run's only forward solve is the
+first.  Directions use Fletcher-Reeves coefficients with a restart every
+``RESTART_EVERY`` iterations, and a non-decreasing cost triggers one
+steepest-descent retry and then step halvings, ``MAX_BACKTRACKS`` + 2 trials
+in all, before the run is declared stagnated.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .materials import Constant
 from .mesh import (
     BoundaryFlux,
     BoundaryTrace,
     Edge,
-    Field,
     restrict_to_edge,
     trace_inner,
     trace_norm,
@@ -54,6 +58,9 @@ class Observations:
     def __post_init__(self):
         if not 0.0 < self.epsilon_bar < np.inf:  # also false for nan
             raise ValueError("epsilon_bar must be positive and finite")
+        for name, h in (("h1", self.h1), ("h2", self.h2)):
+            if not np.all(np.isfinite(h.values)):
+                raise ValueError(f"observation trace {name} contains non-finite values")
         if self.h1.edge is not Edge.GAMMA1 or self.h2.edge is not Edge.GAMMA2:
             raise ValueError("h1 must live on Gamma1 and h2 on Gamma2")
         if self.h1.grid != self.h2.grid:
@@ -91,8 +98,13 @@ class IterationRecord:
 class CgmReport:
     """Outcome of ``run_cgm``.
 
-    ``forward_solves`` counts the nonlinear forward solves of the run, the
-    first and every trial step's, a trial whose solve raised included;
+    ``trial_steps`` counts every trial step evaluated, by a forward solve or,
+    with a ``Constant`` coefficient, in closed form from the sensitivity
+    traces; ``sd_retries`` counts the iterations that retried a rejected
+    conjugate step along steepest descent.  ``forward_solves`` counts the
+    nonlinear forward solves of the run, the first and every trial step's on
+    a nonlinear model, a trial whose solve raised included; so it is
+    ``trial_steps + 1`` on a nonlinear model and 1 on a constant one.
     ``unconverged_solves`` counts those whose ``SolveReport.converged`` was
     False, for example because they stopped at the ``INNER_PICARD`` sweep cap.
     """
@@ -104,6 +116,16 @@ class CgmReport:
     records: list[IterationRecord]
     forward_solves: int
     unconverged_solves: int
+    trial_steps: int
+    sd_retries: int
+
+
+def _misfit(grid, r1: np.ndarray, r2: np.ndarray) -> float:
+    """(1/2) sum_i ||r_i||^2 over the two boundary cylinders."""
+    return 0.5 * (
+        trace_norm(BoundaryTrace(grid, Edge.GAMMA1, r1)) ** 2
+        + trace_norm(BoundaryTrace(grid, Edge.GAMMA2, r2)) ** 2
+    )
 
 
 def _forward_state(problem: NonlinearProblem, obs: Observations):
@@ -113,12 +135,7 @@ def _forward_state(problem: NonlinearProblem, obs: Observations):
     u, rep = solve_nonlinear(problem, INNER_PICARD)
     r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
     r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values
-    g = problem.grid
-    J = 0.5 * (
-        trace_norm(BoundaryTrace(g, Edge.GAMMA1, r1)) ** 2
-        + trace_norm(BoundaryTrace(g, Edge.GAMMA2, r2)) ** 2
-    )
-    return rep.kappa, r1, r2, J, rep.converged
+    return rep.kappa, r1, r2, _misfit(problem.grid, r1, r2), rep.converged
 
 
 def cost(problem: NonlinearProblem, obs: Observations) -> float:
@@ -150,18 +167,17 @@ def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
     return e1, e2
 
 
-def step_sizes(sens1: Field, sens2: Field, r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
+def step_sizes(a: list[BoundaryTrace], b: list[BoundaryTrace], r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
     """Closed-form dual step sizes from the 2x2 normal system.
 
-    ``sens1``/``sens2`` are the linearized responses to the two search
-    directions; ``r1``/``r2`` the current boundary residuals.  Falls back to
-    the decoupled single-flux formulas when the system is degenerate,
-    |R2^2 - R1 R4| <= 1e-14 R1 R4; the test is relative, so it does not
-    depend on the scale of the data, and it holds whenever R1 or R4 is 0.
+    ``a``/``b`` are the Gamma1 and Gamma2 traces of the linearized responses
+    to the two search directions; ``r1``/``r2`` the current boundary
+    residuals.  Falls back to the decoupled single-flux formulas when the
+    system is degenerate, |R2^2 - R1 R4| <= 1e-14 R1 R4; the test is
+    relative, so it does not depend on the scale of the data, and it holds
+    whenever R1 or R4 is 0.
     """
-    g = sens1.grid
-    a = [restrict_to_edge(sens1, Edge.GAMMA1), restrict_to_edge(sens1, Edge.GAMMA2)]
-    b = [restrict_to_edge(sens2, Edge.GAMMA1), restrict_to_edge(sens2, Edge.GAMMA2)]
+    g = a[0].grid
     r = [BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)]
     R1 = sum(trace_inner(x, x) for x in a)
     R2 = sum(trace_inner(x, y) for x, y in zip(a, b))
@@ -184,22 +200,28 @@ def run_cgm(
 ) -> CgmReport:
     """Identification loop from f^0 = ``problem.flux``; never raises on MaxIter.
 
-    Per iteration: forward solve, discrepancy check, adjoint gradient,
-    Fletcher-Reeves direction (restart every ``RESTART_EVERY`` iterations),
-    two sensitivity solves, closed-form steps, iterate update.  The
-    closed-form steps solve the frozen-coefficient quadratic model, which can
-    overshoot when the coefficient reacts to the iterate; a non-decreasing
-    candidate therefore falls back to steepest descent and then halves the
-    step until the cost decreases, and only an exhausted backtrack
-    (``MAX_BACKTRACKS`` + 2 trials) declares stagnation.  Every accepted step
-    and a discrepancy stop log one ``IterationRecord``; with ``exact_flux``
-    the records carry the flux errors of the iterate they start from.
-    ``max_iter`` must be a non-negative integer.
+    One forward solve at f^0, then per iteration: discrepancy check, adjoint
+    gradient, Fletcher-Reeves direction (restart every ``RESTART_EVERY``
+    iterations), two sensitivity solves, closed-form steps, trial step.  A
+    trial is a forward solve at the trial flux on a nonlinear model; with a
+    ``Constant`` coefficient it is the exact affine update
+    r_i + zeta1 sens1|Gamma_i + zeta2 sens2|Gamma_i of the residuals, and the
+    coefficient stays the one of the first solve.  The closed-form steps solve
+    the frozen-coefficient quadratic model, which can overshoot when the
+    coefficient reacts to the iterate; a non-decreasing trial therefore falls
+    back to steepest descent and then halves the step until the cost
+    decreases, and only an exhausted backtrack (``MAX_BACKTRACKS`` + 2 trials)
+    declares stagnation.  Every accepted step and a discrepancy stop log one
+    ``IterationRecord``; with ``exact_flux`` the records carry the flux errors
+    of the iterate they start from.  ``max_iter`` must be a non-negative
+    integer.
     """
     if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     grid = problem.grid
     f = problem.flux
+    # the coefficient does not depend on the state, so the flux-to-trace map is affine
+    affine = isinstance(problem.model, Constant)
 
     records: list[IterationRecord] = []
     S1 = S2 = gn_prev = None
@@ -208,6 +230,7 @@ def run_cgm(
     kappa, r1, r2, J, converged = _forward_state(problem, obs)
     J_history = [J]
     forward_solves, unconverged_solves = 1, int(not converged)
+    trial_steps = sd_retries = 0
 
     while True:
         errors = flux_error(f, exact_flux) if exact_flux is not None else (0.0, 0.0)
@@ -236,27 +259,34 @@ def run_cgm(
             S1 = -g1 + theta[0] * S1
             S2 = -g2 + theta[1] * S2
             on_sd = False
-        z1, z2 = _advance(op, S1, S2, r1, r2)
+        z1, z2, a, b = _advance(op, S1, S2, r1, r2)
 
         accepted = None
         for _ in range(MAX_BACKTRACKS + 2):
             f_try = _update_flux(grid, f, z1, S1, z2, S2)
-            forward_solves += 1
-            try:
-                kappa_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
-            except SolverError:
-                J_try = np.inf  # diverging trial step: reject and shrink
+            trial_steps += 1
+            if affine:
+                r1_try = r1 + z1 * a[0].values + z2 * b[0].values
+                r2_try = r2 + z1 * a[1].values + z2 * b[1].values
+                kappa_try, J_try = kappa, _misfit(grid, r1_try, r2_try)
             else:
-                unconverged_solves += not converged
+                forward_solves += 1
+                try:
+                    kappa_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
+                except SolverError:
+                    J_try = np.inf  # diverging trial step: reject and shrink
+                else:
+                    unconverged_solves += not converged
             if J_try < J:
                 accepted = (f_try, kappa_try, r1_try, r2_try, J_try)
                 break
             if not on_sd:
                 # retry the whole step along steepest descent first
                 on_sd = True
+                sd_retries += 1
                 theta = (0.0, 0.0)
                 S1, S2 = -g1, -g2
-                z1, z2 = _advance(op, S1, S2, r1, r2)
+                z1, z2, a, b = _advance(op, S1, S2, r1, r2)
             else:
                 z1, z2 = 0.5 * z1, 0.5 * z2
         if accepted is None:
@@ -277,13 +307,18 @@ def run_cgm(
         records=records,
         forward_solves=forward_solves,
         unconverged_solves=unconverged_solves,
+        trial_steps=trial_steps,
+        sd_retries=sd_retries,
     )
 
 
 def _advance(op, S1, S2, r1, r2):
+    """Closed-form steps along (S1, S2) and the Gamma1/Gamma2 traces of the two sensitivities."""
     sens1 = solve_sensitivity(op, s1=BoundaryTrace(op.grid, Edge.GAMMA1, S1))
     sens2 = solve_sensitivity(op, s2=BoundaryTrace(op.grid, Edge.GAMMA2, S2))
-    return step_sizes(sens1, sens2, r1, r2)
+    a = [restrict_to_edge(sens1, e) for e in Edge]
+    b = [restrict_to_edge(sens2, e) for e in Edge]
+    return (*step_sizes(a, b, r1, r2), a, b)
 
 
 def _update_flux(grid, f, z1, S1, z2, S2):
@@ -291,4 +326,3 @@ def _update_flux(grid, f, z1, S1, z2, S2):
         f1=BoundaryTrace(grid, Edge.GAMMA1, f.f1.values + z1 * S1),
         f2=BoundaryTrace(grid, Edge.GAMMA2, f.f2.values + z2 * S2),
     )
-

@@ -132,9 +132,10 @@ def test_step_sizes_decoupled_when_one_direction_is_zero(setup):
     sens2 = solve_sensitivity(op, s2=S2)
     r1 = rng.normal(size=(g.ny, g.nt + 1))
     r2 = rng.normal(size=(g.nx, g.nt + 1))
-    z1, z2 = step_sizes(sens1, sens2, r1, r2)
-    # with the second block empty the system degenerates to -R3/R1
     a = [restrict_to_edge(sens1, Edge.GAMMA1), restrict_to_edge(sens1, Edge.GAMMA2)]
+    b = [restrict_to_edge(sens2, Edge.GAMMA1), restrict_to_edge(sens2, Edge.GAMMA2)]
+    z1, z2 = step_sizes(a, b, r1, r2)
+    # with the second block empty the system degenerates to -R3/R1
     r = [BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)]
     R1 = sum(trace_inner(x, x) for x in a)
     R3 = sum(trace_inner(x, y) for x, y in zip(a, r))
@@ -155,9 +156,9 @@ def test_step_sizes_solve_the_normal_equations(setup, scale):
     sens1, sens2 = Field(g, scale * sens1.values), Field(g, scale * sens2.values)
     r1 = scale * rng.normal(size=(g.ny, g.nt + 1))
     r2 = scale * rng.normal(size=(g.nx, g.nt + 1))
-    z1, z2 = step_sizes(sens1, sens2, r1, r2)
     a = [restrict_to_edge(sens1, e) for e in Edge]
     b = [restrict_to_edge(sens2, e) for e in Edge]
+    z1, z2 = step_sizes(a, b, r1, r2)
     r = [BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)]
 
     def inner(x, y):
@@ -214,9 +215,21 @@ def test_run_cgm_rejects_a_max_iter_that_is_not_a_non_negative_integer(setup, ba
         run_cgm(problem, obs, max_iter=bad)
 
 
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+def test_run_cgm_final_cost_is_the_true_misfit(setup, max_iter):
+    # constant k takes its trial steps from the sensitivity traces without a
+    # forward solve; the cost they give must still be the misfit of the iterate
+    problem, obs, _ = setup
+    rep = run_cgm(problem, obs, max_iter=max_iter)
+    assert rep.k_star == max_iter
+    J = cost(replace(problem, flux=rep.reconstructed), obs)
+    assert rep.J_history[-1] == pytest.approx(J, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("preset, unconverged", [("Inv2", False), ("Inv1", True)])
 def test_run_cgm_counts_forward_solves_and_unconverged_ones(monkeypatch, preset, unconverged):
-    # constant k converges at the second sweep; Inv1's k = 1/(1+s) stops at the sweep cap
+    # constant k converges at the second sweep and evaluates its trial steps
+    # without a forward solve; Inv1's k = 1/(1+s) stops at the sweep cap
     example = PRESETS[preset](Grid.from_spacing(0.25, 0.25), 0.5)
     calls, reports = [], []
 
@@ -228,9 +241,31 @@ def test_run_cgm_counts_forward_solves_and_unconverged_ones(monkeypatch, preset,
 
     monkeypatch.setattr(cgm, "solve_nonlinear", counting)
     rep = run_cgm(example.problem, example.observations, max_iter=2)
-    assert rep.forward_solves == len(calls) >= rep.k_star + 1
+    if unconverged:
+        assert rep.forward_solves == len(calls) >= rep.k_star + 1
+    else:
+        assert rep.forward_solves == len(calls) == 1
+        assert rep.trial_steps >= rep.k_star > 0
     assert rep.unconverged_solves == sum(not r.converged for r in reports)
     assert (rep.unconverged_solves > 0) is unconverged
+
+
+def test_run_cgm_counts_trial_steps_and_steepest_descent_retries(monkeypatch):
+    # every trial on Inv1 is a forward solve; each iteration marches two
+    # sensitivities, and each steepest-descent retry two more
+    example = PRESETS["Inv1"](Grid.from_spacing(0.25, 0.25), 0.5)
+    sensitivities = []
+
+    def counting(op, s1=None, s2=None):
+        sensitivities.append(1)
+        return solve_sensitivity(op, s1=s1, s2=s2)
+
+    monkeypatch.setattr(cgm, "solve_sensitivity", counting)
+    rep = run_cgm(example.problem, example.observations, max_iter=12)
+    assert rep.stop_reason is StopReason.MAX_ITER
+    assert rep.trial_steps == rep.forward_solves - 1
+    assert rep.sd_retries == len(sensitivities) / 2 - rep.k_star
+    assert rep.sd_retries > 0
 
 
 def test_run_cgm_records(setup):
@@ -310,3 +345,15 @@ def test_observations_reject_bad_epsilon_bar(setup, epsilon_bar):
     _, obs, _ = setup
     with pytest.raises(ValueError):
         Observations(h1=obs.h1, h2=obs.h2, epsilon_bar=epsilon_bar)
+
+
+@pytest.mark.parametrize("name, bad", [("h1", np.nan), ("h2", np.inf)])
+def test_observations_reject_non_finite_traces(setup, name, bad):
+    # a nan in h1 used to surface as a SolverError from the first sensitivity
+    # march, and a constant-k run would take it without any error
+    _, obs, _ = setup
+    h = getattr(obs, name)
+    values = h.values.copy()
+    values[1, 1] = bad
+    with pytest.raises(ValueError, match=name):
+        replace(obs, **{name: BoundaryTrace(h.grid, h.edge, values)})
