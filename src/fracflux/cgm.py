@@ -120,22 +120,26 @@ class CgmReport:
     sd_retries: int
 
 
+def _norms(grid, a1: np.ndarray, a2: np.ndarray) -> tuple[float, float]:
+    """L2 norms of a Gamma1 and a Gamma2 trace's values over their boundary cylinders."""
+    return trace_norm(BoundaryTrace(grid, Edge.GAMMA1, a1)), trace_norm(BoundaryTrace(grid, Edge.GAMMA2, a2))
+
+
 def _misfit(grid, r1: np.ndarray, r2: np.ndarray) -> float:
     """(1/2) sum_i ||r_i||^2 over the two boundary cylinders."""
-    return 0.5 * (
-        trace_norm(BoundaryTrace(grid, Edge.GAMMA1, r1)) ** 2
-        + trace_norm(BoundaryTrace(grid, Edge.GAMMA2, r2)) ** 2
-    )
+    n1, n2 = _norms(grid, r1, r2)
+    return 0.5 * (n1**2 + n2**2)
 
 
 def _forward_state(problem: NonlinearProblem, obs: Observations):
-    """Frozen coefficient, boundary residuals, misfit and convergence flag of the forward solve at ``problem.flux``."""
+    """Unfactored operator at the frozen coefficient, residuals, misfit and convergence flag of the solve at ``problem.flux``."""
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
     u, rep = solve_nonlinear(problem, INNER_PICARD)
     r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
     r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values
-    return rep.kappa, r1, r2, _misfit(problem.grid, r1, r2), rep.converged
+    op = GridOperator(problem.grid, problem.beta, rep.kappa)
+    return op, r1, r2, _misfit(problem.grid, r1, r2), rep.converged
 
 
 def cost(problem: NonlinearProblem, obs: Observations) -> float:
@@ -143,28 +147,18 @@ def cost(problem: NonlinearProblem, obs: Observations) -> float:
     return _forward_state(problem, obs)[3]
 
 
-def _adjoint_state(problem: NonlinearProblem, kappa: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    """Operator at the forward solve's coefficient and the misfit gradient traces."""
-    op = GridOperator(problem.grid, problem.beta, kappa)
-    g1, g2 = op.adjoint_gradient(r1, r2)
-    g = problem.grid
-    return op, BoundaryTrace(g, Edge.GAMMA1, g1), BoundaryTrace(g, Edge.GAMMA2, g2)
-
-
 def gradient(problem: NonlinearProblem, obs: Observations):
     """Misfit gradient with respect to (f1, f2) at the problem's flux, as L2 boundary traces."""
-    kappa, r1, r2, _, _ = _forward_state(problem, obs)
-    return _adjoint_state(problem, kappa, r1, r2)[1:]
+    op, r1, r2, _, _ = _forward_state(problem, obs)
+    g1, g2 = op.adjoint_gradient(r1, r2)
+    return BoundaryTrace(op.grid, Edge.GAMMA1, g1), BoundaryTrace(op.grid, Edge.GAMMA2, g2)
 
 
 def flux_error(fk: BoundaryFlux, fexact: BoundaryFlux) -> tuple[float, float]:
     """L2 boundary-cylinder errors of the two reconstructed flux components."""
     if fk.grid != fexact.grid:
         raise ValueError("flux pair on mismatched grids")
-    g = fk.grid
-    e1 = trace_norm(BoundaryTrace(g, Edge.GAMMA1, fk.f1.values - fexact.f1.values))
-    e2 = trace_norm(BoundaryTrace(g, Edge.GAMMA2, fk.f2.values - fexact.f2.values))
-    return e1, e2
+    return _norms(fk.grid, fk.f1.values - fexact.f1.values, fk.f2.values - fexact.f2.values)
 
 
 def step_sizes(a: list[BoundaryTrace], b: list[BoundaryTrace], r1: np.ndarray, r2: np.ndarray) -> tuple[float, float]:
@@ -206,7 +200,8 @@ def run_cgm(
     trial is a forward solve at the trial flux on a nonlinear model; with a
     ``Constant`` coefficient it is the exact affine update
     r_i + zeta1 sens1|Gamma_i + zeta2 sens2|Gamma_i of the residuals, and the
-    coefficient stays the one of the first solve.  The closed-form steps solve
+    run keeps the first solve's operator, whose one factor then serves every
+    adjoint and sensitivity march.  The closed-form steps solve
     the frozen-coefficient quadratic model, which can overshoot when the
     coefficient reacts to the iterate; a non-decreasing trial therefore falls
     back to steepest descent and then halves the step until the cost
@@ -227,7 +222,7 @@ def run_cgm(
     S1 = S2 = gn_prev = None
     k = 0
 
-    kappa, r1, r2, J, converged = _forward_state(problem, obs)
+    op, r1, r2, J, converged = _forward_state(problem, obs)
     J_history = [J]
     forward_solves, unconverged_solves = 1, int(not converged)
     trial_steps = sd_retries = 0
@@ -242,9 +237,8 @@ def run_cgm(
             stop_reason = StopReason.MAX_ITER
             break
 
-        op, g1t, g2t = _adjoint_state(problem, kappa, r1, r2)
-        g1, g2 = g1t.values, g2t.values
-        gn = (trace_norm(g1t), trace_norm(g2t))
+        g1, g2 = op.adjoint_gradient(r1, r2)
+        gn = _norms(grid, g1, g2)
         if float(np.hypot(*gn)) == 0.0:
             stop_reason = StopReason.VANISHED_GRADIENT
             break
@@ -268,17 +262,17 @@ def run_cgm(
             if affine:
                 r1_try = r1 + z1 * a[0].values + z2 * b[0].values
                 r2_try = r2 + z1 * a[1].values + z2 * b[1].values
-                kappa_try, J_try = kappa, _misfit(grid, r1_try, r2_try)
+                op_try, J_try = op, _misfit(grid, r1_try, r2_try)
             else:
                 forward_solves += 1
                 try:
-                    kappa_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
+                    op_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
                 except SolverError:
                     J_try = np.inf  # diverging trial step: reject and shrink
                 else:
                     unconverged_solves += not converged
             if J_try < J:
-                accepted = (f_try, kappa_try, r1_try, r2_try, J_try)
+                accepted = (f_try, op_try, r1_try, r2_try, J_try)
                 break
             if not on_sd:
                 # retry the whole step along steepest descent first
@@ -294,7 +288,7 @@ def run_cgm(
             break
 
         records.append(IterationRecord(k, J, *gn, z1, z2, *theta, *errors))
-        f, kappa, r1, r2, J = accepted
+        f, op, r1, r2, J = accepted
         gn_prev = gn
         k += 1
         J_history.append(J)

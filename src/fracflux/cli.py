@@ -148,7 +148,6 @@ def _picard_from_config(cfg: _Config) -> PicardConfig:
 def _solution_rows(grid: Grid, values: np.ndarray, times: list[float]):
     for t in times:
         n = int(round(t / grid.tau))
-        n = min(max(n, 0), grid.nt)
         for i, x in enumerate(grid.xs):
             for j, y in enumerate(grid.ys):
                 yield (x, y, grid.ts[n], values[i, j, n])
@@ -271,7 +270,8 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
         beta = _get(cfg, "problem", "beta", _finite, 0.3, lambda v: 0.0 < v < 1.0)
         if run_mode in ("forward", "adjoint"):
             picard = _picard_from_config(cfg)
-            times = _get(cfg, "output", "times", _finite_list, []) or [grid.t_final]
+            times = _get(cfg, "output", "times", _finite_list, [grid.t_final],
+                         lambda ts: ts and all(0 <= t <= grid.t_final for t in ts))
         else:
             max_iter = _get(cfg, "cgm", "max_iter", int, 1000, lambda v: v >= 0)
             cfg.asked.add(("noise", "seed"))  # the --seed flag may stand in
@@ -279,7 +279,7 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
             if run_mode == "invert":
                 noise = NoiseSpec(gamma=_get(cfg, "noise", "gamma", _finite, 0.0), seed=the_seed)
             else:
-                gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS)
+                gammas = _get(cfg, "noise", "gammas", _finite_list, DEFAULT_GAMMAS, lambda v: len(v) > 0)
                 sweep = [NoiseSpec(gamma=gamma, seed=the_seed) for gamma in gammas]
         unused = cfg.unused()
         if unused:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,8 +43,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.gamma < np.inf:  # also false for nan
             raise ValueError("noise level must be nonnegative and finite")
-        if self.seed < 0:
-            raise ValueError("noise seed must be nonnegative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ O(nt^2 m) work as matrix-matrix products; it moves them by round-off.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,8 @@ def l1_weights(beta: float, tau: float, nt: int) -> L1Weights:
     """Build L1 weights for ``nt`` time steps of size ``tau``."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"fractional order must be in (0, 1), got {beta}")
-    if not 0.0 < tau < np.inf or nt < 1:  # also false for nan
-        raise ValueError("need 0 < tau < inf and nt >= 1")
+    if not 0.0 < tau < np.inf or not isinstance(nt, numbers.Integral) or nt < 1:  # also false for nan
+        raise ValueError(f"need 0 < tau < inf and an integer nt >= 1, got tau={tau!r}, nt={nt!r}")
     j = np.arange(nt, dtype=float)
     b = (j + 1.0) ** (1.0 - beta) - j ** (1.0 - beta)
     scale = tau ** (-beta) / math.gamma(2.0 - beta)

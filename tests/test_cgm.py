@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracflux import cgm
+from fracflux import cgm, solver
 from fracflux.cgm import (
     INNER_PICARD,
     RESTART_EVERY,
@@ -248,6 +248,23 @@ def test_run_cgm_counts_forward_solves_and_unconverged_ones(monkeypatch, preset,
         assert rep.trial_steps >= rep.k_star > 0
     assert rep.unconverged_solves == sum(not r.converged for r in reports)
     assert (rep.unconverged_solves > 0) is unconverged
+
+
+def test_constant_k_run_cgm_factors_one_operator_once(monkeypatch):
+    # the first forward solve factors once per Picard sweep (two on constant
+    # k); every later adjoint and sensitivity march reuses the one factor of
+    # the operator that solve leaves behind, however many iterations run
+    example = PRESETS["Inv2"](Grid.from_spacing(0.25, 0.25), 0.5)
+    factorizations, splu = [], solver.splu
+
+    def counting(A, **kwargs):
+        factorizations.append(1)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    rep = run_cgm(example.problem, example.observations, max_iter=3)
+    assert rep.k_star >= 2
+    assert len(factorizations) == 2 + 1
 
 
 def test_run_cgm_counts_trial_steps_and_steepest_descent_retries(monkeypatch):

@@ -320,16 +320,22 @@ def test_main_parses_flags(tmp_path):
         FORWARD_CFG.replace("beta = 0.3", "beta = 1.5"),
         FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = -1"),
         FORWARD_CFG + "\n[output]\ntimes = 0.5, nan\n",
+        # a time outside [0, t_final] has no solution slice to write
+        FORWARD_CFG + "\n[output]\ntimes = 0.5, 5\n",
+        FORWARD_CFG + "\n[output]\ntimes = -1, 0.5\n",
+        FORWARD_CFG + "\n[output]\ntimes = ,\n",
         INVERT_CFG.replace("gamma = 0.01", "gamma = abc"),
         INVERT_CFG.replace("gamma = 0.01", "gamma = -1"),
+        # an empty sweep would write a table with a header and no rows
+        INVERT_CFG.replace("mode = invert", "mode = table").replace("gamma = 0.01", "gammas = ,"),
         INVERT_CFG.replace("seed = 99", "seed = -1"),
         INVERT_CFG.replace("max_iter = 3", "max_iter = -1"),
         # Fwd1's time factor E_0.9(-t^0.9) out to t = 20 is beyond the
         # Mittag-Leffler series
         FORWARD_CFG.replace("nt = 10", "nt = 20\nt_final = 20").replace("beta = 0.3", "beta = 0.9"),
     ],
-    ids=["nx", "h", "tau", "beta", "theta_bar", "times", "gamma_text", "gamma_negative",
-         "seed", "max_iter", "mittag_leffler"],
+    ids=["nx", "h", "tau", "beta", "theta_bar", "times", "times_after_t_final", "times_negative", "times_empty",
+         "gamma_text", "gamma_negative", "gammas_empty", "seed", "max_iter", "mittag_leffler"],
 )
 def test_invalid_value_is_config_error(tmp_path, text):
     cfg = _write_config(tmp_path / "run.ini", text)

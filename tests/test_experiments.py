@@ -157,6 +157,13 @@ def test_noise_spec_rejects_non_finite_level(gamma):
         NoiseSpec(gamma=gamma, seed=1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, -1, "7"])
+def test_noise_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # a float seed would otherwise fail only later, inside numpy's generator
+    with pytest.raises(ValueError):
+        NoiseSpec(gamma=0.01, seed=seed)
+
+
 def test_add_noise_zero_level_is_identity(grid):
     tr = BoundaryTrace(grid, Edge.GAMMA1, np.ones((grid.ny, grid.nt + 1)))
     noisy, eps = add_noise(tr, NoiseSpec(gamma=0.0, seed=7))

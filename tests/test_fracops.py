@@ -33,6 +33,13 @@ def test_weights_rejects_bad_order(bad):
         l1_weights(beta=bad, tau=0.1, nt=10)
 
 
+@pytest.mark.parametrize("nt", [2.5, 10.0, 0])
+def test_weights_rejects_bad_step_count(nt):
+    # a float nt of 2.5 would give three weights
+    with pytest.raises(ValueError):
+        l1_weights(beta=0.5, tau=0.1, nt=nt)
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
 def test_weights_rejects_bad_step(tau):
     # nan and inf would give a nan and a zero scale
