@@ -43,7 +43,7 @@ from .solver import (
 RESTART_EVERY = 50  # iterations k with k % RESTART_EVERY == 0 take steepest descent
 MAX_BACKTRACKS = 30  # an iteration tries at most MAX_BACKTRACKS + 2 steps before StagnatedJ
 # the inner solve of every forward evaluation in the identification; on a nonlinear
-# model it mostly ends at the 20-sweep cap, which SolveReport.converged reports
+# model it mostly spends its 20-sweep budget, counted in CgmReport.unconverged_solves
 INNER_PICARD = PicardConfig(theta_bar=1e-12, fixed_iters=20)
 
 
@@ -106,7 +106,7 @@ class CgmReport:
     a nonlinear model, a trial whose solve raised included; so it is
     ``trial_steps + 1`` on a nonlinear model and 1 on a constant one.
     ``unconverged_solves`` counts those whose ``SolveReport.converged`` was
-    False, for example because they stopped at the ``INNER_PICARD`` sweep cap.
+    False, for example because they spent the ``INNER_PICARD`` sweep budget.
     """
 
     k_star: int

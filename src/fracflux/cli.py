@@ -28,7 +28,7 @@ EXIT_SOLVER = 3
 EXIT_MISMATCH = 4
 
 # Picard tolerance of a forward/adjoint run whose [picard] sets neither
-# theta_bar nor fixed_iters
+# theta_bar nor fixed_iters; PicardConfig's default sweep budget applies
 DEFAULT_THETA_BAR = 1e-4
 DEFAULT_GAMMAS = (0.0, 0.005, 0.01, 0.05)
 
@@ -116,7 +116,7 @@ def _finite(raw: str) -> float:
 
 
 def _finite_list(raw: str) -> list[float]:
-    return [_finite(s) for s in raw.split(",") if s.strip()]
+    return [_finite(s) for s in raw.split(",")]  # float("") rejects an empty entry
 
 
 def _grid_from_config(cfg: _Config) -> Grid:
@@ -132,17 +132,22 @@ def _grid_from_config(cfg: _Config) -> Grid:
 
 
 def _picard_from_config(cfg: _Config) -> PicardConfig:
-    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset.
-
-    ``max_outer`` caps a run that stops by ``theta_bar``, so it is read only
-    when ``fixed_iters`` is unset.
-    """
+    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset."""
     theta = _get(cfg, "picard", "theta_bar", _finite, 0.0, lambda v: v >= 0.0)
     fixed = _get(cfg, "picard", "fixed_iters", int, 0, lambda v: v >= 0)
-    if fixed:
-        return PicardConfig(theta_bar=theta or None, fixed_iters=fixed)
-    max_outer = _get(cfg, "picard", "max_outer", int, 100, lambda v: v >= 1)
-    return PicardConfig(theta_bar=theta or DEFAULT_THETA_BAR, max_outer=max_outer)
+    return PicardConfig(
+        theta_bar=theta or (None if fixed else DEFAULT_THETA_BAR),
+        fixed_iters=fixed or PicardConfig.fixed_iters,
+    )
+
+
+def _check_out(path: str) -> None:
+    """Fail unless ``path`` is a directory or can be made one."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"[run] out or --out {path!r}: {existing!r} is not a directory")
 
 
 def _solution_rows(grid: Grid, values: np.ndarray, times: list[float]):
@@ -157,6 +162,12 @@ def _run_direct(example, preset_id, grid, picard, times, out, quiet, reversed_ti
     start = time.perf_counter()
     u, report = solve_nonlinear(example.problem, picard)
     wall = time.perf_counter() - start
+    if picard.theta_bar is not None and not report.converged:
+        return _fail(
+            EXIT_SOLVER,
+            f"solver: no convergence to theta_bar={picard.theta_bar} in {picard.fixed_iters} sweeps; "
+            f"last increment {report.residual_history[-1]:.1e}",
+        )
     values, exact = u.values, example.exact.values
     if reversed_time:  # the example is indexed by s = T - t; report it in t
         values, exact = (np.ascontiguousarray(a[:, :, ::-1]) for a in (values, exact))
@@ -266,6 +277,7 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
         if preset_id not in PRESETS:
             raise ConfigError(f"unknown preset {preset_id!r}")
         out_dir = out or _get(cfg, "run", "out", str, "out")
+        _check_out(out_dir)
         grid = _grid_from_config(cfg)
         beta = _get(cfg, "problem", "beta", _finite, 0.3, lambda v: 0.0 < v < 1.0)
         if run_mode in ("forward", "adjoint"):

@@ -110,7 +110,7 @@ def mittag_leffler(beta: float, z) -> np.ndarray | float:
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
     zarr = np.asarray(z, dtype=float)
-    if np.any(zarr > 0.0) or np.any(zarr < -50.0):
+    if not np.all((zarr <= 0.0) & (zarr >= -50.0)):  # also false for nan
         raise ValueError("argument must lie in [-50, 0]")
     scalar = zarr.ndim == 0
     zarr = np.atleast_1d(zarr)

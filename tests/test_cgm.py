@@ -229,7 +229,7 @@ def test_run_cgm_final_cost_is_the_true_misfit(setup, max_iter):
 @pytest.mark.parametrize("preset, unconverged", [("Inv2", False), ("Inv1", True)])
 def test_run_cgm_counts_forward_solves_and_unconverged_ones(monkeypatch, preset, unconverged):
     # constant k converges at the second sweep and evaluates its trial steps
-    # without a forward solve; Inv1's k = 1/(1+s) stops at the sweep cap
+    # without a forward solve; Inv1's k = 1/(1+s) spends the sweep budget
     example = PRESETS[preset](Grid.from_spacing(0.25, 0.25), 0.5)
     calls, reports = [], []
 

@@ -257,27 +257,21 @@ def test_mode_preset_mismatch(tmp_path):
 
 
 def test_unconverged_picard_is_solver_error(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path / "run.ini",
-        """
-[run]
-mode = forward
-preset = Fwd1
-
-[grid]
-nx = 6
-ny = 6
-nt = 10
-
-[picard]
-theta_bar = 1e-16
-max_outer = 1
-""",
-    )
+    # a theta_bar that the sweep budget does not reach fails the run before
+    # any CSV is written
+    text = FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = 1e-16\nfixed_iters = 2")
+    cfg = _write_config(tmp_path / "run.ini", text)
     assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_SOLVER
     # the message carries the last H1 increment, so a slow but steady
     # iteration can be told from a stalled one
-    assert "in 1 sweeps; last increment " in capsys.readouterr().err
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith("no convergence to theta_bar=1e-16 in 2 sweeps; last increment 5.5e-02")
+    assert not (tmp_path / "out").exists()
+    # without a tolerance the same budget is the run's stopping rule
+    cfg = _write_config(tmp_path / "run.ini", FORWARD_CFG.replace("theta_bar = 1e-3", "fixed_iters = 2"))
+    assert run(cfg, out=str(tmp_path / "out"), quiet=True) == 0
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        assert int(next(csv.DictReader(fh))["eta_star"]) == 2
 
 
 def test_grid_from_spacing_config(tmp_path):
@@ -311,6 +305,19 @@ def test_main_parses_flags(tmp_path):
         main(["--mode", "forward"])  # --config is required
 
 
+@pytest.mark.parametrize("where", ["file", "below_file"])
+def test_out_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypatch, where):
+    # found before the solve starts, not as a traceback once it has finished
+    monkeypatch.setattr("fracflux.cli.solve_nonlinear", lambda *a: pytest.fail("the run started"))
+    cfg = _write_config(tmp_path / "run.ini", FORWARD_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken if where == "file" else taken / "sub"
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -324,10 +331,13 @@ def test_main_parses_flags(tmp_path):
         FORWARD_CFG + "\n[output]\ntimes = 0.5, 5\n",
         FORWARD_CFG + "\n[output]\ntimes = -1, 0.5\n",
         FORWARD_CFG + "\n[output]\ntimes = ,\n",
+        # a stray comma would otherwise drop an entry unannounced
+        FORWARD_CFG + "\n[output]\ntimes = 0.5,,1\n",
         INVERT_CFG.replace("gamma = 0.01", "gamma = abc"),
         INVERT_CFG.replace("gamma = 0.01", "gamma = -1"),
         # an empty sweep would write a table with a header and no rows
         INVERT_CFG.replace("mode = invert", "mode = table").replace("gamma = 0.01", "gammas = ,"),
+        INVERT_CFG.replace("mode = invert", "mode = table").replace("gamma = 0.01", "gammas = , 0.01"),
         INVERT_CFG.replace("seed = 99", "seed = -1"),
         INVERT_CFG.replace("max_iter = 3", "max_iter = -1"),
         # Fwd1's time factor E_0.9(-t^0.9) out to t = 20 is beyond the
@@ -335,7 +345,8 @@ def test_main_parses_flags(tmp_path):
         FORWARD_CFG.replace("nt = 10", "nt = 20\nt_final = 20").replace("beta = 0.3", "beta = 0.9"),
     ],
     ids=["nx", "h", "tau", "beta", "theta_bar", "times", "times_after_t_final", "times_negative", "times_empty",
-         "gamma_text", "gamma_negative", "gammas_empty", "seed", "max_iter", "mittag_leffler"],
+         "times_empty_entry", "gamma_text", "gamma_negative", "gammas_empty", "gammas_empty_entry", "seed",
+         "max_iter", "mittag_leffler"],
 )
 def test_invalid_value_is_config_error(tmp_path, text):
     cfg = _write_config(tmp_path / "run.ini", text)
@@ -354,12 +365,8 @@ def test_invalid_value_is_config_error(tmp_path, text):
         ),
         # each mode reads only its own sections and keys
         (FORWARD_CFG + "\n[cgm]\nmax_iter = 3\n\n[noise]\nseed = 5\n", "[cgm], [noise]"),
-        (
-            FORWARD_CFG.replace("mode = forward\npreset = Fwd1", "mode = adjoint\npreset = Adj2").replace(
-                "theta_bar = 1e-3", "fixed_iters = 2\nmax_outer = 5"
-            ),
-            "[picard] max_outer",
-        ),
+        # the sweep cap that fixed_iters replaced is no longer a key
+        (FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = 1e-16\nmax_outer = 2"), "[picard] max_outer"),
         (
             INVERT_CFG.replace("seed = 99", "seed = 99\ngammas = 0, 0.01")
             + "\n[picard]\ntheta_bar = 1e-8\n\n[output]\ntimes = 0.5\n",
@@ -368,7 +375,7 @@ def test_invalid_value_is_config_error(tmp_path, text):
         (INVERT_CFG.replace("mode = invert", "mode = table"), "[noise] gamma"),
     ],
     ids=["misspelt_key", "unknown_section", "nx_next_to_h",
-         "forward_reads_no_cgm_or_noise", "adjoint_fixed_iters_reads_no_max_outer",
+         "forward_reads_no_cgm_or_noise", "retired_sweep_cap",
          "invert_reads_no_picard_output_or_gammas", "table_reads_no_gamma"],
 )
 def test_unused_key_is_config_error(tmp_path, capsys, text, unused):
@@ -413,7 +420,7 @@ def _ini_files(draw):
             else {"nx": value(2, 3, 4), "ny": value(3, 4), "nt": value(0, 1, 3), "t_final": value(0.5, 2.0)}
         ),
         "problem": {"beta": value(0.05, 0.3, 0.5, 0.9, 1.5)},
-        "picard": {"theta_bar": value(1e-3, 1e-16, 0.0), "fixed_iters": value(0, 2), "max_outer": value(1, 3)},
+        "picard": {"theta_bar": value(1e-3, 1e-16, 0.0), "fixed_iters": value(0, 2)},
         # never absent and at most 2, so that every inversion stays short
         "cgm": {"max_iter": draw(st.one_of(st.sampled_from([0, 1, 2]), _GARBAGE))},
         "noise": {

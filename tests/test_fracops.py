@@ -235,3 +235,8 @@ def test_mittag_leffler_rejects_bad_arguments():
         mittag_leffler(1.5, -1.0)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 0.5)
+    # nan fails every comparison, so it is caught as not in [-50, 0]; otherwise
+    # the series runs all its terms and then blames convergence
+    for z in (math.nan, np.array([-1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"argument must lie in \[-50, 0\]"):
+            mittag_leffler(0.5, z)
