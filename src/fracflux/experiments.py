@@ -1,12 +1,13 @@
 """Manufactured problem builders and noise injection.
 
-The validation cases use separable closed-form solutions whose source terms
-follow from the product rule (the terminal-value case is posed in reversed
-time, where it is an initial-value problem); the flux-identification cases
-either sample closed-form fluxes and boundary data, or synthesize the
-observations by solving the direct problem on a once-refined grid and
-restricting (so the inversion never sees data produced by its own
-discretization).
+The closed-form cases Fwd1, Adj2 and Inv1 come from one builder: a separable
+exact solution u = V(t) X(x) Y(y) under k(s) = 1/(1 + s), whose source and
+exact fluxes follow from the product rule.  The terminal-value case is built
+in t and posed in reversed time, where it is an initial-value problem; Inv1's
+observations are its exact field's traces on the two flux edges.  The other
+flux-identification cases synthesize the observations by solving the direct
+problem on a once-refined grid and restricting (so the inversion never sees
+data produced by its own discretization).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .mesh import (
     Edge,
     Field,
     Grid,
+    restrict_to_edge,
     trace_norm,
     zero_flux,
 )
@@ -74,10 +76,6 @@ class InverseExample:
 EPSILON_BAR_CLEAN = 1.25e-7
 
 
-def _meshed(grid: Grid):
-    return np.meshgrid(grid.xs, grid.ys, indexing="ij")
-
-
 def _flux(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> BoundaryFlux:
     return BoundaryFlux(
         f1=BoundaryTrace(grid, Edge.GAMMA1, f1),
@@ -85,33 +83,44 @@ def _flux(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> BoundaryFlux:
     )
 
 
-def _separable_example(
-    grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, g: np.ndarray
-) -> ForwardExample:
-    """Problem with exact solution V(t) (1-x)(1-y) and k(s) = 1/(1 + s).
+def _separable_example(grid: Grid, beta: float, V: np.ndarray, DV: np.ndarray, X, Y) -> ForwardExample:
+    """Problem with exact solution u = V(t) X(x) Y(y) and k(s) = 1/(1 + s).
 
-    ``DV`` is the fractional derivative of the time factor ``V``.  With
-    s = V^2 ((1-y)^2 + (1-x)^2) the product rule gives the source
-    F = psi (DV - 4 V^3 k'(s)), and the exact fluxes -k du/dn on the two flux
-    edges follow by substitution.
+    ``DV`` is the Caputo derivative of the time factor ``V``; ``X`` and ``Y``
+    each hold a spatial factor and its first two derivatives at the grid
+    nodes.  With psi = X Y and s = |grad u|^2 = V^2 |grad psi|^2 the product
+    rule gives the source
+    F = psi DV - V (k lap psi + V^2 k'(s) grad|grad psi|^2 . grad psi),
+    and the exact fluxes -k du/dn are k u_x on x = 0 and k u_y on y = 0.
+    The initial data are the exact field at t = 0.
     """
     model = Rational()
-    X, Y = _meshed(grid)
-    psi = (1.0 - X) * (1.0 - Y)
-    s = (V**2)[None, None, :] * (((1.0 - Y) ** 2 + (1.0 - X) ** 2)[:, :, None])
-    F = psi[:, :, None] * (DV[None, None, :] - 4.0 * V[None, None, :] ** 3 * model.k_prime(s))
-    f1 = -model.k(np.outer((1.0 - grid.ys) ** 2 + 1.0, V**2)) * np.outer(1.0 - grid.ys, V)
-    f2 = -model.k(np.outer(1.0 + (1.0 - grid.xs) ** 2, V**2)) * np.outer(1.0 - grid.xs, V)
-    problem = NonlinearProblem(
-        grid=grid,
-        beta=beta,
-        model=model,
-        source=F,
-        flux=_flux(grid, f1, f2),
-        g=g,
-    )
+    (X0, X1, X2), (Y0, Y1, Y2) = ((a[:, None] for a in X), (a[None, :] for a in Y))
+    psi = X0 * Y0
+    px, py = X1 * Y0, X0 * Y1  # grad psi
+    lap = X2 * Y0 + X0 * Y2
+    # grad|grad psi|^2 . grad psi = 2 grad psi . Hessian(psi) grad psi
+    G = 2.0 * (px * px * (X2 * Y0) + 2.0 * px * py * (X1 * Y1) + py * py * (X0 * Y2))
+    s = V**2 * (px**2 + py**2)[:, :, None]
+    k = model.k(s)
+    flux = _flux(grid, k[0] * np.outer(px[0], V), k[:, 0] * np.outer(py[:, 0], V))
+    # F is built in place, in the buffers of k' and k and then s: a fresh
+    # grid-sized array per term slowed the Fwd1 build at 21 x 21 x 1001 nodes
+    F = model.k_prime(s)
+    F *= V**2
+    F *= G[:, :, None]
+    k *= lap[:, :, None]
+    F += k
+    F *= V
+    np.subtract(np.multiply(psi[:, :, None], DV, out=s), F, out=F)
     exact = Field(grid, psi[:, :, None] * V[None, None, :])
+    problem = NonlinearProblem(grid, beta, model, F, flux, exact.values[:, :, 0].copy())
     return ForwardExample(problem=problem, exact=exact)
+
+
+def _one_minus(z: np.ndarray):
+    """The factor 1 - z with its first two derivatives."""
+    return 1.0 - z, np.full_like(z, -1.0), np.zeros_like(z)
 
 
 def make_forward_example1(grid: Grid, beta: float) -> ForwardExample:
@@ -121,8 +130,7 @@ def make_forward_example1(grid: Grid, beta: float) -> ForwardExample:
     fractional derivative is exactly its negative.
     """
     E = np.asarray(mittag_leffler(beta, -grid.ts**beta))
-    X, Y = _meshed(grid)
-    return _separable_example(grid, beta, E, -E, (1.0 - X) * (1.0 - Y))
+    return _separable_example(grid, beta, E, -E, _one_minus(grid.xs), _one_minus(grid.ys))
 
 
 def _reversed(a: np.ndarray) -> np.ndarray:
@@ -146,60 +154,37 @@ def make_adjoint_example2(grid: Grid, beta: float) -> ForwardExample:
     V = (T - grid.ts) ** (2.0 * beta)
     c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
     DV = c * (T - grid.ts) ** beta
-    ex = _separable_example(grid, beta, V, DV, np.zeros((grid.nx, grid.ny)))
+    ex = _separable_example(grid, beta, V, DV, _one_minus(grid.xs), _one_minus(grid.ys))
     p = ex.problem
+    exact = Field(grid, _reversed(ex.exact.values))
     flux = _flux(grid, _reversed(p.flux.f1.values), _reversed(p.flux.f2.values))
-    problem = replace(p, source=_reversed(p.source), flux=flux)
-    return ForwardExample(problem=problem, exact=Field(grid, _reversed(ex.exact.values)))
+    problem = replace(p, source=_reversed(p.source), flux=flux, g=exact.values[:, :, 0].copy())
+    return ForwardExample(problem=problem, exact=exact)
 
 
 def make_inverse_example1(grid: Grid, beta: float) -> InverseExample:
     """Identification case with exact solution t^beta log(2-x) (1-y).
 
-    The coefficient is k(s) = 1/(1 + s); the exact fluxes and boundary data
-    are the closed forms obtained by substitution, so no synthetic solve is
-    involved and the observations carry no discretization bias.
+    The coefficient is k(s) = 1/(1 + s).  The exact fluxes are the closed
+    forms of the separable builder, and the observations are the exact
+    field's traces on the two flux edges, so no synthetic solve is involved
+    and the observations carry no discretization bias.
     """
-    model = Rational()
-    X, Y = _meshed(grid)
-    ts = grid.ts
-    tb = ts**beta
-    L = np.log(2.0 - X)
-    oy = 1.0 - Y
-    # source from D^beta u - div(k grad u) with u = t^beta L(x) (1-y)
-    s = (tb**2)[None, None, :] * ((oy**2 / (2.0 - X) ** 2 + L**2)[:, :, None])
-    k, kp = model.k(s), model.k_prime(s)
-    lap = -(tb[None, None, :]) * (oy / (2.0 - X) ** 2)[:, :, None]
-    ux = -(tb[None, None, :]) * (oy / (2.0 - X))[:, :, None]
-    uy = -(tb[None, None, :]) * L[:, :, None]
-    sx = (tb**2)[None, None, :] * (
-        (2.0 * oy**2 / (2.0 - X) ** 3)[:, :, None] - (2.0 * L / (2.0 - X))[:, :, None]
+    d = 2.0 - grid.xs
+    V = grid.ts**beta
+    DV = np.full(grid.nt + 1, math.gamma(1.0 + beta))
+    ex = _separable_example(grid, beta, V, DV, (np.log(d), -1.0 / d, -1.0 / d**2), _one_minus(grid.ys))
+    obs = Observations(
+        h1=restrict_to_edge(ex.exact, Edge.GAMMA1),
+        h2=restrict_to_edge(ex.exact, Edge.GAMMA2),
+        epsilon_bar=EPSILON_BAR_CLEAN,
     )
-    sy = -(tb**2)[None, None, :] * (2.0 * oy / (2.0 - X) ** 2)[:, :, None]
-    F = (math.gamma(1.0 + beta) * L * oy)[:, :, None] - (k * lap + kp * (sx * ux + sy * uy))
-    # exact fluxes -k du/dn on the two flux edges
-    oyv = 1.0 - grid.ys
-    f1 = -np.outer(oyv / 2.0, tb) * model.k(np.outer(oyv**2 / 4.0 + math.log(2.0) ** 2, tb**2))
-    Lx = np.log(2.0 - grid.xs)
-    f2 = -np.outer(Lx, tb) * model.k(np.outer(1.0 / (2.0 - grid.xs) ** 2 + Lx**2, tb**2))
-    exact_flux = _flux(grid, f1, f2)
-    # analytic observations on the two measured edges
-    h1 = BoundaryTrace(grid, Edge.GAMMA1, np.outer(math.log(2.0) * oyv, tb))
-    h2 = BoundaryTrace(grid, Edge.GAMMA2, np.outer(Lx, tb))
-    problem = NonlinearProblem(
-        grid=grid,
-        beta=beta,
-        model=model,
-        source=F,
-        flux=zero_flux(grid),
-        g=np.zeros((grid.nx, grid.ny)),
-    )
-    obs = Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN)
-    return InverseExample(problem=problem, exact_flux=exact_flux, observations=obs)
+    problem = replace(ex.problem, flux=zero_flux(grid))
+    return InverseExample(problem=problem, exact_flux=ex.problem.flux, observations=obs)
 
 
 def _example2_data(grid: Grid):
-    X, Y = _meshed(grid)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     ts = grid.ts
     tfac = np.exp(-ts) * (ts - ts**2)
     F = np.repeat(np.sin(2.0 * np.pi * X * Y)[:, :, None], grid.nt + 1, axis=2)

@@ -80,11 +80,7 @@ _CG_MAXITER = math.ceil(math.log(_CG_RTOL / (2.0 * _DRIFT * math.sqrt(_C))) / ma
 
 
 class SolverError(RuntimeError):
-    """Assembly or linear-solve failure; a failed Picard iteration attaches its residuals."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history
+    """Assembly or linear-solve failure, or a diverging Picard iteration."""
 
 
 @dataclass(frozen=True)
@@ -403,7 +399,7 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
             break
         rises = rises + 1 if len(history) >= 2 and res > 1.5 * history[-2] else 0
         if rises >= 3:
-            raise SolverError("Picard iteration diverging", residual_history=history)
+            raise SolverError(f"Picard iteration diverging after {len(history)} sweeps; last increment {res:.1e}")
         u_old = u_new
     eta_star = max(len(history) - 1, 1) if converged else len(history)
     report = SolveReport(

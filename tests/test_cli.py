@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -272,6 +273,18 @@ def test_unconverged_picard_is_solver_error(tmp_path, capsys):
     assert run(cfg, out=str(tmp_path / "out"), quiet=True) == 0
     with open(tmp_path / "out" / "summary.csv") as fh:
         assert int(next(csv.DictReader(fh))["eta_star"]) == 2
+
+
+def test_diverging_picard_is_solver_error(tmp_path, capsys):
+    # Fwd1 at h = 0.1, tau = 0.02, beta = 0.5 with the default theta_bar: the
+    # increments turn round and grow until the divergence stop fires
+    text = FORWARD_CFG[: FORWARD_CFG.index("[picard]")]
+    text = text.replace("nx = 6\nny = 6\nnt = 10", "h = 0.1\ntau = 0.02").replace("beta = 0.3", "beta = 0.5")
+    cfg = _write_config(tmp_path / "run.ini", text)
+    assert run(cfg, out=str(tmp_path / "out"), quiet=True) == EXIT_SOLVER
+    err = capsys.readouterr().err.rstrip()
+    assert re.search(r"solver: Picard iteration diverging after \d+ sweeps; last increment \d\.\de[+-]\d\d$", err), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_from_spacing_config(tmp_path):

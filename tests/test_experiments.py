@@ -107,6 +107,66 @@ def test_inverse_example1_self_consistency(grid):
     assert J < 0.01 * J0
 
 
+def _closed_form(name, grid, beta):
+    """A closed-form preset with its flux pair and its exact field.
+
+    Adj2's arrays are indexed by the reversed time s = T - t; Inv1's exact
+    field t^beta log(2-x) (1-y) is written out here.
+    """
+    ex = PRESETS[name](grid, beta)
+    if name != "Inv1":
+        return ex.problem, ex.problem.flux, ex.exact.values
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return ex.problem, ex.exact_flux, (np.log(2.0 - X) * (1.0 - Y))[:, :, None] * grid.ts**beta
+
+
+def _fv_divergence(model, u, h):
+    """div(k(|grad u|^2) grad u) at the interior nodes of one (m, m) slice.
+
+    Finite volumes: each face flux takes the normal derivative across the
+    face and the tangential one averaged from the face's two nodes, both
+    second order at the face midpoint.
+    """
+    ux, uy = (np.gradient(u, h, axis=a, edge_order=2) for a in (0, 1))
+    nx = np.diff(u, axis=0) / h
+    qx = model.k(nx**2 + (0.5 * (uy[1:] + uy[:-1])) ** 2) * nx
+    ny = np.diff(u, axis=1) / h
+    qy = model.k(ny**2 + (0.5 * (ux[:, 1:] + ux[:, :-1])) ** 2) * ny
+    return np.diff(qx[:, 1:-1], axis=0) / h + np.diff(qy[1:-1], axis=1) / h
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.7])
+@pytest.mark.parametrize("name", ["Fwd1", "Adj2", "Inv1"])
+def test_closed_form_source_is_the_pde_of_its_exact_field(name, beta):
+    # at the last level, source = D^beta u - div(k grad u) on the exact field,
+    # with the L1 reference in time and finite volumes in space; tau ~ h^2
+    # keeps the L1 error below the spatial one
+    residuals = []
+    for m in (8, 16, 32):
+        grid = Grid(nx=m + 1, ny=m + 1, nt=m * m * 5 // 8)
+        problem, _, u = _closed_form(name, grid, beta)
+        w = l1_weights(beta, grid.tau, grid.nt)
+        dbeta = np.array([[caputo(u[i, j], w) for j in range(1, m)] for i in range(1, m)])
+        pde = dbeta - _fv_divergence(problem.model, u[:, :, -1], grid.hx)
+        residuals.append(np.max(np.abs(problem.source[1:-1, 1:-1, -1] - pde)))
+    assert residuals[-1] < 2e-4
+    # second order as h halves: each ratio near 4, above 3.2 (order 1.68)
+    assert all(a > 3.2 * b for a, b in zip(residuals, residuals[1:])), residuals
+
+
+@pytest.mark.parametrize("name", ["Fwd1", "Adj2", "Inv1"])
+def test_closed_form_fluxes_are_k_times_the_edge_derivatives(name):
+    # f1 = k u_x on x = 0 and f2 = k u_y on y = 0, by one-sided second-order
+    # differences; Fwd1 and Adj2 are bilinear in space, so theirs are exact
+    for m in (8, 16, 32):
+        grid = Grid(nx=m + 1, ny=m + 1, nt=4)
+        problem, flux, u = _closed_form(name, grid, 0.5)
+        ux, uy = (np.gradient(u, grid.hx, axis=a, edge_order=2) for a in (0, 1))
+        k = problem.model.k(ux**2 + uy**2)
+        for f, want in ((flux.f1.values, (k * ux)[0]), (flux.f2.values, (k * uy)[:, 0])):
+            assert np.max(np.abs(f - want)) <= 0.2 * grid.hx**2 * np.max(np.abs(f))
+
+
 def test_inverse_example2_flux_time_profile(grid):
     ex = make_inverse_example2(grid, beta=0.3)
     assert np.max(np.abs(ex.exact_flux.f1.values[:, 0])) == 0.0
