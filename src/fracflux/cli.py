@@ -132,13 +132,12 @@ def _grid_from_config(cfg: _Config) -> Grid:
 
 
 def _picard_from_config(cfg: _Config) -> PicardConfig:
-    """Picard control for forward/adjoint runs; 0 or absent leaves a key unset."""
-    theta = _get(cfg, "picard", "theta_bar", _finite, 0.0, lambda v: v >= 0.0)
-    fixed = _get(cfg, "picard", "fixed_iters", int, 0, lambda v: v >= 0)
-    return PicardConfig(
-        theta_bar=theta or (None if fixed else DEFAULT_THETA_BAR),
-        fixed_iters=fixed or PicardConfig.fixed_iters,
-    )
+    """Picard control for forward/adjoint runs; an absent key takes its default."""
+    theta = _get(cfg, "picard", "theta_bar", _finite, DEFAULT_THETA_BAR, lambda v: v > 0.0)
+    fixed = _get(cfg, "picard", "fixed_iters", int, PicardConfig.fixed_iters, lambda v: v >= 1)
+    if cfg.has_option("picard", "fixed_iters") and not cfg.has_option("picard", "theta_bar"):
+        theta = None  # a sweep budget alone runs every sweep
+    return PicardConfig(theta_bar=theta, fixed_iters=fixed)
 
 
 def _check_out(path: str) -> None:

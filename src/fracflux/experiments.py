@@ -3,11 +3,12 @@
 The closed-form cases Fwd1, Adj2 and Inv1 come from one builder: a separable
 exact solution u = V(t) X(x) Y(y) under k(s) = 1/(1 + s), whose source and
 exact fluxes follow from the product rule.  The terminal-value case is built
-in t and posed in reversed time, where it is an initial-value problem; Inv1's
-observations are its exact field's traces on the two flux edges.  The other
-flux-identification cases synthesize the observations by solving the direct
-problem on a once-refined grid and restricting (so the inversion never sees
-data produced by its own discretization).
+directly in the reversed time s = T - t, where it is an initial-value
+problem; Inv1's observations are its exact field's traces on the two flux
+edges.  The other flux-identification cases synthesize the observations by
+solving the direct problem to convergence on a once-refined grid and
+restricting (so the inversion never sees data produced by its own
+discretization).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cgm import INNER_PICARD, Observations, cost
+from .cgm import Observations, cost
 from .fracops import mittag_leffler
 from .materials import Constant, PlasticityModel, RambergOsgood, Rational
 from .mesh import (
@@ -32,7 +33,7 @@ from .mesh import (
     trace_norm,
     zero_flux,
 )
-from .solver import NonlinearProblem, solve_nonlinear
+from .solver import NonlinearProblem, PicardConfig, SolverError, solve_nonlinear
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class NoiseSpec:
 class ForwardExample:
     """An initial-value problem together with its exact solution.
 
-    The arrays of both share one time axis: t for ``Fwd1``, the reversed time
-    s = T - t for ``Adj2``.
+    The arrays of both share one time axis: t for ``Fwd1``, and for ``Adj2``
+    the reversed time s = T - t in which it is built and solved.
     """
 
     problem: NonlinearProblem
@@ -74,6 +75,9 @@ class InverseExample:
 
 
 EPSILON_BAR_CLEAN = 1.25e-7
+# the refined-grid solve behind synthesized observations; it must reach its
+# tolerance within the default budget, or the build fails
+_SYNTH_PICARD = PicardConfig(theta_bar=1e-12)
 
 
 def _flux(grid: Grid, f1: np.ndarray, f2: np.ndarray) -> BoundaryFlux:
@@ -133,33 +137,18 @@ def make_forward_example1(grid: Grid, beta: float) -> ForwardExample:
     return _separable_example(grid, beta, E, -E, _one_minus(grid.xs), _one_minus(grid.ys))
 
 
-def _reversed(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of ``a`` with its last (time) axis reversed."""
-    return np.ascontiguousarray(a[..., ::-1])
-
-
 def make_adjoint_example2(grid: Grid, beta: float) -> ForwardExample:
     """Terminal-value problem with exact solution (T-t)^(2 beta) (1-x)(1-y).
 
-    The right-sided fractional derivative of the time factor is
-    Gamma(2 beta + 1)/Gamma(beta + 1) (T-t)^beta.  In the reversed time
-    s = T - t it is the Caputo derivative in s, so the problem is an
-    initial-value problem with zero data at s = 0.  Every array of the
-    example is indexed by s: level n holds t = T - n tau.  The arrays are
-    built in t and then reversed, which keeps every value bitwise equal to
-    its t-indexed counterpart; evaluating the formulas directly in s moves
-    the source by an ulp.
+    Posed in the reversed time s = T - t, where the right-sided fractional
+    derivative is the Caputo derivative in s, this is an initial-value
+    problem with zero data: the time factor s^(2 beta) has the derivative
+    Gamma(2 beta + 1)/Gamma(beta + 1) s^beta.  Every array of the example is
+    indexed by s: level n holds t = T - n tau.
     """
-    T = grid.t_final
-    V = (T - grid.ts) ** (2.0 * beta)
+    s = grid.ts
     c = math.gamma(2.0 * beta + 1.0) / math.gamma(beta + 1.0)
-    DV = c * (T - grid.ts) ** beta
-    ex = _separable_example(grid, beta, V, DV, _one_minus(grid.xs), _one_minus(grid.ys))
-    p = ex.problem
-    exact = Field(grid, _reversed(ex.exact.values))
-    flux = _flux(grid, _reversed(p.flux.f1.values), _reversed(p.flux.f2.values))
-    problem = replace(p, source=_reversed(p.source), flux=flux, g=exact.values[:, :, 0].copy())
-    return ForwardExample(problem=problem, exact=exact)
+    return _separable_example(grid, beta, s ** (2.0 * beta), c * s**beta, _one_minus(grid.xs), _one_minus(grid.ys))
 
 
 def make_inverse_example1(grid: Grid, beta: float) -> InverseExample:
@@ -201,12 +190,18 @@ def _guarded_inverse_example(
     # observations: solve on the once-refined grid and restrict the boundary traces
     fine = grid.refined()
     F_fine, flux_fine = _example2_data(fine)
-    u, _ = solve_nonlinear(
-        NonlinearProblem(fine, beta, model, F_fine, flux_fine, np.zeros((fine.nx, fine.ny))), INNER_PICARD
+    u, rep = solve_nonlinear(
+        NonlinearProblem(fine, beta, model, F_fine, flux_fine, np.zeros((fine.nx, fine.ny))), _SYNTH_PICARD
     )
+    if not rep.converged:
+        raise SolverError(
+            f"synthesizing the observations: no convergence to theta_bar={_SYNTH_PICARD.theta_bar} "
+            f"in {_SYNTH_PICARD.fixed_iters} sweeps; last increment {rep.residual_history[-1]:.1e}"
+        )
     h1 = BoundaryTrace(grid, Edge.GAMMA1, u.values[0, ::2, ::2].copy())
     h2 = BoundaryTrace(grid, Edge.GAMMA2, u.values[::2, 0, ::2].copy())
-    # attainable misfit floor: the inversion-grid solution at the exact flux
+    # attainable misfit floor: the inversion-grid solution at the exact flux,
+    # through cost's INNER_PICARD solve, the map that the identification inverts
     floor = cost(replace(problem, flux=exact_flux), Observations(h1=h1, h2=h2, epsilon_bar=EPSILON_BAR_CLEAN))
     obs = Observations(h1=h1, h2=h2, epsilon_bar=max(EPSILON_BAR_CLEAN, floor))
     return InverseExample(problem=problem, exact_flux=exact_flux, observations=obs)
@@ -216,10 +211,10 @@ def make_inverse_example2(grid: Grid, beta: float) -> InverseExample:
     """Identification case without a closed-form solution.
 
     F = sin(2 pi x y), f1 = e^-t (t - t^2) sin(3 pi y), f2 = e^-t (t - t^2)
-    sin(2 pi x); observations are synthesized on the refined grid.  The stop
-    threshold is the larger of the clean-data default and the misfit floor
-    attainable on the inversion grid (the refined-grid data are not exactly
-    reproducible at the inversion resolution).
+    sin(2 pi x); observations come from a converged solve on the refined
+    grid.  The stop threshold is the larger of the clean-data default and the
+    misfit floor attainable on the inversion grid (the refined-grid data are
+    not exactly reproducible at the inversion resolution).
     """
     return _guarded_inverse_example(grid, beta, Constant(1.0))
 

@@ -339,6 +339,9 @@ def test_out_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypat
         FORWARD_CFG.replace("nx = 6\nny = 6\nnt = 10", "h = 0.2\ntau = -0.1"),
         FORWARD_CFG.replace("beta = 0.3", "beta = 1.5"),
         FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = -1"),
+        # 0 is not "unset": it would run at another tolerance or budget than asked
+        FORWARD_CFG.replace("theta_bar = 1e-3", "theta_bar = 0"),
+        FORWARD_CFG.replace("theta_bar = 1e-3", "fixed_iters = 0"),
         FORWARD_CFG + "\n[output]\ntimes = 0.5, nan\n",
         # a time outside [0, t_final] has no solution slice to write
         FORWARD_CFG + "\n[output]\ntimes = 0.5, 5\n",
@@ -357,9 +360,9 @@ def test_out_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypat
         # Mittag-Leffler series
         FORWARD_CFG.replace("nt = 10", "nt = 20\nt_final = 20").replace("beta = 0.3", "beta = 0.9"),
     ],
-    ids=["nx", "h", "tau", "beta", "theta_bar", "times", "times_after_t_final", "times_negative", "times_empty",
-         "times_empty_entry", "gamma_text", "gamma_negative", "gammas_empty", "gammas_empty_entry", "seed",
-         "max_iter", "mittag_leffler"],
+    ids=["nx", "h", "tau", "beta", "theta_bar", "theta_bar_zero", "fixed_iters_zero", "times",
+         "times_after_t_final", "times_negative", "times_empty", "times_empty_entry", "gamma_text",
+         "gamma_negative", "gammas_empty", "gammas_empty_entry", "seed", "max_iter", "mittag_leffler"],
 )
 def test_invalid_value_is_config_error(tmp_path, text):
     cfg = _write_config(tmp_path / "run.ini", text)

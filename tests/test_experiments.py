@@ -21,6 +21,7 @@ from fracflux.experiments import (
 from fracflux.fracops import l1_weights, mittag_leffler
 from fracflux.materials import RambergOsgood
 from fracflux.mesh import BoundaryFlux, BoundaryTrace, Edge, Grid, trace_norm, zero_flux
+from fracflux.solver import PicardConfig, SolverError
 from l1_caputo import caputo
 
 
@@ -208,6 +209,14 @@ def test_inverse_example3_normalized_models_depend_only_on_t0_sq():
     for case, t0_sq in (("soft", 0.02), ("stiff", 0.027)):
         model = make_inverse_example3(case, Grid(nx=3, ny=3, nt=2), 0.5).problem.model
         assert np.array_equal(model.k(s), np.maximum(s / t0_sq, 1.0) ** -0.25)
+
+
+def test_unconverged_synthesis_fails_the_build(monkeypatch):
+    # observations from a refined solve that stopped short of its tolerance
+    # would carry that solve's error; two sweeps cannot reach 1e-12 here
+    monkeypatch.setattr("fracflux.experiments._SYNTH_PICARD", PicardConfig(theta_bar=1e-12, fixed_iters=2))
+    with pytest.raises(SolverError, match="synthesizing the observations: no convergence"):
+        make_inverse_example3("soft", Grid(nx=6, ny=6, nt=5), 0.3)
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf])
