@@ -3,7 +3,7 @@ adjoint-based conjugate gradient identification of its two boundary fluxes."""
 
 from .cgm import CgmReport, Observations, StopReason, cost, gradient, run_cgm
 from .fracops import L1Weights, l1_weights, mittag_leffler
-from .materials import Constant, PlasticityModel, RambergOsgood, Rational, validate_class_K
+from .materials import Constant, PlasticityModel, RambergOsgood, Rational
 from .mesh import BoundaryFlux, BoundaryTrace, Edge, Field, Grid, trace_norm
 from .solver import (
     GridOperator,
@@ -42,7 +42,6 @@ __all__ = [
     "solve_nonlinear",
     "solve_sensitivity",
     "trace_norm",
-    "validate_class_K",
 ]
 
 __version__ = "0.1.0"

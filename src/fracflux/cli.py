@@ -263,7 +263,8 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
     section or key that the run does not read is an error: [picard] and
     [output] belong to forward/adjoint runs, [cgm] and [noise] to invert/table
     runs, ``gamma`` to invert and ``gammas`` to table.  The flags given to
-    this function override the file.
+    this function override the file; ``seed``, like [noise], is read only by
+    invert/table runs and is an error in a forward/adjoint run.
     """
     cfg = _Config()
     try:
@@ -280,6 +281,8 @@ def run(config_path: str, mode=None, out=None, seed=None, quiet=False) -> int:
         grid = _grid_from_config(cfg)
         beta = _get(cfg, "problem", "beta", _finite, 0.3, lambda v: 0.0 < v < 1.0)
         if run_mode in ("forward", "adjoint"):
+            if seed is not None:
+                raise ConfigError("not used by this run: --seed")
             picard = _picard_from_config(cfg)
             times = _get(cfg, "output", "times", _finite_list, [grid.t_final],
                          lambda ts: ts and all(0 <= t <= grid.t_final for t in ts))

@@ -1,10 +1,10 @@
-"""Plasticity coefficient models k(T^2) and admissibility checking.
+"""Plasticity coefficient models k(T^2) and their evaluation on an iterate.
 
-Three model kinds: a constant coefficient, the Ramberg-Osgood engineering
-material law in units of the shear compliance (elastic plateau 1 followed by
-a power-law decay beyond the yield threshold T0^2), and the rational law
-1/(1 + T^2) in closed form.  The admissible class requires positive two-sided
-bounds, a nonincreasing coefficient and an elastic plateau at the left end.
+Three laws: a constant coefficient, the Ramberg-Osgood engineering material
+law in units of the shear compliance (elastic plateau 1 followed by a
+power-law decay beyond the yield threshold T0^2), and the rational law
+1/(1 + T^2) in closed form.  ``kappa_from_iterate`` evaluates a law at
+|grad u|^2 of every time level of an iterate.
 """
 
 from __future__ import annotations
@@ -79,37 +79,3 @@ class Rational(PlasticityModel):
 def kappa_from_iterate(model: PlasticityModel, grid, values: np.ndarray) -> np.ndarray:
     """Coefficient arrays k(|grad u|^2) for every time level at once."""
     return model.k(gradient_squared(values, grid.hx, grid.hy))
-
-
-@dataclass(frozen=True)
-class ClassKReport:
-    c0: float
-    c1: float
-    monotone_ok: bool
-    plateau_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.c0 > 0.0 and self.monotone_ok and self.plateau_ok
-
-
-def validate_class_K(model: PlasticityModel, t_sq_range: tuple[float, float]) -> ClassKReport:
-    """Sample the coefficient at 401 points and report the admissible-class diagnostics.
-
-    Reports the empirical bounds, whether finite-difference k' stays below
-    1e-10 max(|k(lo)|, 1), and whether an elastic plateau exists at the left
-    end of the range (at least two leading samples equal).
-    """
-    lo, hi = t_sq_range
-    if not 0.0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    s = np.linspace(lo, hi, 401)
-    k = np.asarray(model.k(s), dtype=float)
-    dk = np.diff(k) / np.diff(s)
-    plateau = bool(abs(k[1] - k[0]) <= 1e-9 * max(abs(k[0]), 1e-300))
-    return ClassKReport(
-        c0=float(k.min()),
-        c1=float(k.max()),
-        monotone_ok=bool(np.all(dk <= 1e-10 * max(abs(k[0]), 1.0))),
-        plateau_ok=plateau,
-    )

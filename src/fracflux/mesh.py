@@ -99,6 +99,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         expect = (self.grid.nx, self.grid.ny, self.grid.nt + 1)
         if self.values.shape != expect:
             raise ValueError(f"field shape {self.values.shape} != {expect}")
@@ -115,6 +116,7 @@ class BoundaryTrace:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         expect = (edge_size(self.grid, self.edge), self.grid.nt + 1)
         if self.values.shape != expect:
             raise ValueError(f"trace shape {self.values.shape} != {expect}")

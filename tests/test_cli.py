@@ -407,6 +407,19 @@ def test_flag_overridden_keys_count_as_used(tmp_path):
     assert run(cfg, mode="invert", out=str(tmp_path / "out"), seed=7, quiet=True) == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [FORWARD_CFG, FORWARD_CFG.replace("mode = forward\npreset = Fwd1", "mode = adjoint\npreset = Adj2")],
+    ids=["forward", "adjoint"],
+)
+def test_seed_flag_on_direct_run_is_config_error(tmp_path, capsys, text):
+    # only invert and table runs draw noise, so a seed would be silently ignored
+    cfg = _write_config(tmp_path / "run.ini", text)
+    assert run(cfg, out=str(tmp_path / "out"), seed=7, quiet=True) == EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith("not used by this run: --seed")
+    assert not (tmp_path / "out").exists()
+
+
 _GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-1", "0", "1e999", "%(x)s", "%", "1,2"])
 _PAIRS = [(mode, preset) for mode, presets in sorted(MODE_PRESETS.items()) for preset in sorted(presets)]
 

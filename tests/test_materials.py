@@ -1,4 +1,4 @@
-"""Tests for the plasticity coefficient models and admissibility checks."""
+"""Tests for the plasticity coefficient models and their evaluation on an iterate."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from fracflux.experiments import PRESETS
 from fracflux.materials import (
     Constant,
-    PlasticityModel,
     RambergOsgood,
     Rational,
     kappa_from_iterate,
-    validate_class_K,
 )
 from fracflux.mesh import Grid
 
@@ -108,29 +106,3 @@ def test_k_field_linear_iterate_power_branch():
     u = np.repeat((a * X)[:, :, None], g.nt + 1, axis=2)
     want = (a**2 / 0.02) ** (0.5 * (0.5 - 1.0))
     assert kappa_from_iterate(SOFT, g, u) == pytest.approx(want, rel=1e-12)
-
-
-def test_validate_class_K_constant():
-    rep = validate_class_K(Constant(2.0), (0.0, 1.0))
-    assert rep.c0 == rep.c1 == 2.0
-    assert rep.monotone_ok and rep.plateau_ok and rep.ok
-
-
-def test_validate_class_K_soft_preset():
-    rep = validate_class_K(SOFT, (0.0, 0.1))
-    assert rep.monotone_ok
-    assert rep.plateau_ok
-    assert 0.0 < rep.c0 <= rep.c1
-
-
-class _Increasing(PlasticityModel):
-    """k = 1 + T^2, increasing and so outside the admissible class."""
-
-    def k(self, t_sq):
-        return 1.0 + self._check(t_sq)
-
-
-def test_validate_class_K_flags_increasing_table():
-    rep = validate_class_K(_Increasing(), (0.0, 1.0))
-    assert not rep.monotone_ok
-    assert not rep.ok

@@ -79,12 +79,25 @@ def test_grid_accepts_numpy_integers():
 
 
 def test_field_shape_and_finiteness_checks(grid):
-    with pytest.raises(ValueError):
-        Field(grid, np.zeros((3, 3, 3)))
+    ok = np.zeros((grid.nx, grid.ny, grid.nt + 1))
+    assert Field(grid, ok).values is ok  # a float64 array is stored as given
+    assert np.array_equal(Field(grid, ok.tolist()).values, ok)
+    for values in (np.zeros((3, 3, 3)), 0.0, [[0.0] * 5] * 5, [[0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            Field(grid, values)
     bad = np.zeros((grid.nx, grid.ny, grid.nt + 1))
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         Field(grid, bad)
+
+
+def test_trace_shape_checks(grid):
+    ok = np.zeros((grid.ny, grid.nt + 1))
+    assert BoundaryTrace(grid, Edge.GAMMA1, ok).values is ok
+    assert np.array_equal(BoundaryTrace(grid, Edge.GAMMA1, ok.tolist()).values, ok)
+    for values in (np.zeros((grid.nx, grid.nt + 1)), 0.0, [[0.0] * 5] * 5, [[0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            BoundaryTrace(grid, Edge.GAMMA1, values)
 
 
 def test_trace_norm_of_zero_and_unit(grid):
