@@ -7,10 +7,13 @@ the discrepancy principle.  On a nonlinear model a trial costs one nonlinear
 forward solve.  With a ``Constant`` coefficient the flux-to-trace map is
 affine, so the trial residual is the current one plus the step sizes times
 the sensitivity traces, exactly, and the run's only forward solve is the
-first.  Directions use Fletcher-Reeves coefficients with a restart every
-``RESTART_EVERY`` iterations, and a non-decreasing cost triggers one
-steepest-descent retry and then step halvings, ``MAX_BACKTRACKS`` + 2 trials
-in all, before the run is declared stagnated.
+first; the operator that solve leaves builds its edge-trace kernel on the
+first adjoint (see ``solver``), and every adjoint and sensitivity solve of
+the run is then FFT products of length 2 nt.  Directions use
+Fletcher-Reeves coefficients with a restart every ``RESTART_EVERY``
+iterations, and a non-decreasing cost triggers one steepest-descent retry
+and then step halvings, ``MAX_BACKTRACKS`` + 2 trials in all, before the
+run is declared stagnated.
 """
 
 from __future__ import annotations
@@ -200,8 +203,9 @@ def run_cgm(
     trial is a forward solve at the trial flux on a nonlinear model; with a
     ``Constant`` coefficient it is the exact affine update
     r_i + zeta1 sens1|Gamma_i + zeta2 sens2|Gamma_i of the residuals, and the
-    run keeps the first solve's operator, whose one factor then serves every
-    adjoint and sensitivity march.  The closed-form steps solve
+    run keeps the first solve's operator: its first adjoint factors it once
+    and builds its edge-trace kernel, which then serves every adjoint and
+    sensitivity solve as FFT products.  The closed-form steps solve
     the frozen-coefficient quadratic model, which can overshoot when the
     coefficient reacts to the iterate; a non-decreasing trial therefore falls
     back to steepest descent and then halves the step until the cost
@@ -308,10 +312,8 @@ def run_cgm(
 
 def _advance(op, S1, S2, r1, r2):
     """Closed-form steps along (S1, S2) and the Gamma1/Gamma2 traces of the two sensitivities."""
-    sens1 = solve_sensitivity(op, s1=BoundaryTrace(op.grid, Edge.GAMMA1, S1))
-    sens2 = solve_sensitivity(op, s2=BoundaryTrace(op.grid, Edge.GAMMA2, S2))
-    a = [restrict_to_edge(sens1, e) for e in Edge]
-    b = [restrict_to_edge(sens2, e) for e in Edge]
+    a = solve_sensitivity(op, s1=BoundaryTrace(op.grid, Edge.GAMMA1, S1))
+    b = solve_sensitivity(op, s2=BoundaryTrace(op.grid, Edge.GAMMA2, S2))
     return (*step_sizes(a, b, r1, r2), a, b)
 
 

@@ -2,8 +2,9 @@
 
 ``GridOperator.march`` is the one linear solve.  ``solve_nonlinear`` builds
 an operator at the frozen coefficient of every Picard sweep and marches it
-once, forward from the initial data at t = 0; ``solve_sensitivity`` marches
-an existing operator.  Space is discretized by a conservative finite-volume
+once, forward from the initial data at t = 0; ``solve_sensitivity`` gives
+the edge traces of an existing operator's response to two fluxes.  Space is
+discretized by a conservative finite-volume
 scheme (harmonic-mean face coefficients) on the unknowns i < nx-1,
 j < ny-1; the Dirichlet edges x=1 and y=1 are eliminated, the flux edges
 x=0 and y=0 enter the right-hand side through the boundary face integrals.
@@ -13,7 +14,9 @@ blocks of levels of ``L1Weights.blocks``: once per block, a march subtracts
 from the right-hand sides of all the block's levels the memory of the
 increments before it, in one matrix product, and each level adds only the
 memory of its own block's increments; the adjoint recursion does the same
-with the transposed sums, block by block backward in time.
+with the transposed sums, block by block backward in time.  The level loop
+of a march (``GridOperator._levels``) also solves many right-hand sides at
+once, one triangular solve per level for all of them.
 
 ``GridOperator`` owns one sparse matrix and the LU factors of its levels
 (levels with identical coefficient slices share one factorization) and also
@@ -24,6 +27,17 @@ level overwrites its values, and SuperLU copies them into its own factors, so
 a refill never reaches a factor already built.  Levels are factored in the
 natural order: the lexicographic numbering of the unknowns is already a band
 ordering, of bandwidth ny-1.
+
+When levels 1..nt share one coefficient (a constant k; level 0 may differ,
+and the coefficient may vary in space), every level has the same matrix and
+the L1 weights depend only on the lag, so the edge traces respond to the
+fluxes by a causal convolution h[n] = sum_{m <= n} K[n-m] f[m], with
+(ny-1 + nx-1)-square blocks K[l].  Such an operator builds K on its first
+adjoint or sensitivity call, in one pass over the levels with every edge
+impulse as a column of the right-hand side, on its one factor; after that
+``adjoint_gradient`` (the weighted transpose correlation with K) and
+``solve_sensitivity`` (the convolution) are FFT products of length 2 nt.
+An operator whose coefficient changes between levels keeps the recursions.
 
 A march does not factor a level whose coefficient lies within a relative
 drift ``_DRIFT`` (3e-3) of the held factor's coefficient at every node: it
@@ -175,6 +189,11 @@ def _check_shape(name: str, a, expect: tuple) -> None:
         raise SolverError(f"{name} shape {np.shape(a)} != {expect}")
 
 
+def _check_finite(name: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise SolverError(f"{name} must be finite")
+
+
 class GridOperator:
     """Per-level systems (scale*V + L_n) for a fixed coefficient history.
 
@@ -196,6 +215,12 @@ class GridOperator:
     the adjoint is the exact transpose of the direct recursion and the
     sensitivity marches after it solve directly too.  ``factorizations`` and
     ``cg_levels`` count the factors built and the levels solved by CG.
+
+    When levels 1..nt share one coefficient, the first ``adjoint_gradient``
+    or ``solve_sensitivity`` call builds the edge-trace kernel
+    (``_trace_kernel``) on the one factor, which it takes from the cache when
+    a march left it there, and keeps it; every such call after that is FFT
+    products alone, with no factorization and no triangular solve.
     """
 
     def __init__(self, grid: Grid, beta: float, kappa: np.ndarray):
@@ -227,6 +252,10 @@ class GridOperator:
         self._A = sp.csc_matrix((self._stencil[self._mask], rows[self._mask], indptr), shape=(mx * my, mx * my))
         changed = np.any(kappa[:, :, 1:] != kappa[:, :, :-1], axis=(0, 1))
         self._group = np.concatenate([[0], np.cumsum(changed)])
+        # levels 1..nt share one coefficient (level 0 is never solved for)
+        self._invariant = bool(self._group[1] == self._group[grid.nt])
+        self._edge_rows = np.concatenate([self.P[0, :], self.P[:, 0]])
+        self._kernel = None
         self._lus: dict[int, object] = {}
         self.factorizations = 0
         self.cg_levels = 0
@@ -270,23 +299,51 @@ class GridOperator:
         factor whose coefficient is within ``_DRIFT`` of the held factor's is
         solved by ``_pcg``, and factored only if CG does not converge.
         """
-        grid, w = self.grid, self.w
+        grid = self.grid
         mx, my, nt = self.mx, self.my, grid.nt
         _check_shape("source", source, (grid.nx, grid.ny, nt + 1))
         _check_shape("f1", f1, (grid.ny, nt + 1))
         _check_shape("f2", f2, (grid.nx, nt + 1))
         g = _check_g(grid, g)
-        m = mx * my
         row1, row2 = self.P[0, :], self.P[:, 0]
         # every level-independent term of the right-hand side, row n-1 for level n
-        base = self.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, m)
+        base = self.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, mx * my)
         base[:, row1] -= (f1[:my, 1:] * self.dyc[:, None]).T
         base[:, row2] -= (f2[:mx, 1:] * self.dxc[:, None]).T
-        U = np.empty((nt + 1, m))  # U[n] = the unknowns of level n
-        U[0] = g[:mx, :my].ravel()
-        diffs = np.zeros((nt, m))  # diffs[q-1] = U[q] - U[q-1]
+        # the last level's factor lives until this returns: freed before ``out``
+        # was allocated, it raised the peak RSS of the bench's Fwd1 solve by 5 MiB
+        U, last_factor = self._levels(base, g[:mx, :my].ravel(), slice(None))
+        out = np.zeros((grid.nx, grid.ny, nt + 1))
+        out[:mx, :my, :] = U.reshape(nt + 1, mx, my).transpose(1, 2, 0)
+        out[:, :, 0] = g
+        return out
+
+    def _levels(self, base: np.ndarray, u0: np.ndarray, rows):
+        """The L1 recursion over levels 1..nt.
+
+        Returns rows ``rows`` of the unknowns of levels 0..nt, and the factor
+        that solved the last level, which ``march`` holds until it has
+        allocated its output.
+
+        ``u0`` holds the unknowns of level 0 and ``base`` the terms of the
+        right-hand side that do not depend on the solution, row n-1 for level
+        n; the levels past its last row have none.  A trailing axis of ``u0``
+        and ``base`` holds right-hand sides solved together: one triangular
+        solve per level serves them all, and the memory sums run over all of
+        them in one product.  That is the kernel build's use, on a coefficient
+        shared by every level, where the CG gate never opens; ``_pcg`` takes
+        a single right-hand side.
+        """
+        w, nt = self.w, self.grid.nt
+        shape = u0.shape
+        svol = self.svol.reshape((-1,) + (1,) * (len(shape) - 1))
+        kept = np.empty((nt + 1,) + u0[rows].shape)
+        kept[0] = u0[rows]
+        diffs = np.zeros((nt,) + shape)  # diffs[q-1] = level q minus level q-1
+        flat = diffs.reshape(nt, -1)  # a view: the memory sums treat every column alike
+        prev = u0
         held, lu = -1, None
-        keep = self._group[1] == self._group[nt]  # one factor for every level: the next march reuses it
+        keep = self._invariant  # one factor for every level: the next march reuses it
         if keep:
             drift = np.zeros(nt + 1)
         else:
@@ -297,7 +354,8 @@ class GridOperator:
         with np.errstate(invalid="ignore", over="ignore"):
             for n0, n1 in w.blocks():
                 # the memory of the increments before the block, for all its levels at once
-                base[n0:n1] -= self.svol * w.far_history(diffs, n0, n1)
+                block = -(svol * w.far_history(flat, n0, n1).reshape((n1 - n0,) + shape))
+                block[: max(len(base) - n0, 0)] += base[n0:n1]
                 for n in range(n0 + 1, n1 + 1):
                     if self._group[n] != held:
                         held, A = self._group[n], None
@@ -310,7 +368,7 @@ class GridOperator:
                                 if keep:
                                     self._lus[held] = lu
                             limit = drift[n] + _LOG_DRIFT
-                    rhs = base[n - 1] + self.svol * (U[n - 1] - w.near_history(diffs, n0, n))
+                    rhs = block[n - n0 - 1] + svol * (prev - w.near_history(flat, n0, n).reshape(shape))
                     x = None if A is None else _pcg(A, lu, rhs)
                     if x is not None:
                         self.cg_levels += 1
@@ -318,33 +376,75 @@ class GridOperator:
                         if A is not None:  # CG did not converge: factor this level and the rest of its group
                             A, lu, limit = None, self._factor(n), drift[n] + _LOG_DRIFT
                         x = lu.solve(rhs)
-                    U[n] = x
-                    np.subtract(U[n], U[n - 1], out=diffs[n - 1])
-        finite = np.isfinite(U).all(axis=1)
+                    kept[n] = x[rows]
+                    np.subtract(x, prev, out=diffs[n - 1])
+                    prev = x
+        finite = np.isfinite(kept.reshape(nt + 1, -1)).all(axis=1)
         if not finite.all():
             raise SolverError(f"non-finite solution at level {int(np.argmin(finite))}")
-        out = np.zeros((grid.nx, grid.ny, nt + 1))
-        out[:mx, :my, :] = U.reshape(nt + 1, mx, my).transpose(1, 2, 0)
-        out[:, :, 0] = g
-        return out
+        return kept, lu
+
+    def _trace_kernel(self) -> np.ndarray:
+        """The edge-trace kernel of a coefficient shared by levels 1..nt, as its real FFT of length 2 nt.
+
+        Edge values are ordered Gamma1 nodes j < my, then Gamma2 nodes i < mx
+        (the corner node sits in both).  K[l][:, j] is the response of the
+        edge values at level 1 + l to a unit flux at level 1 on edge node j;
+        every level has the same matrix and the L1 weights depend only on the
+        lag, so a flux at level m has the response K[l] at level m + l.  The
+        kernel is built on the first call, in one pass of ``_levels`` with
+        the my + mx impulses as its columns, on the operator's one factor,
+        and kept for the later calls.
+        """
+        if self._kernel is None:
+            m, nt = self.mx * self.my, self.grid.nt
+            edge = self._edge_rows
+            impulse = np.zeros((1, m, len(edge)))
+            impulse[0, edge, np.arange(len(edge))] = -np.concatenate([self.dyc, self.dxc])
+            K = self._levels(impulse, np.zeros((m, len(edge))), edge)[0][1:]
+            self._kernel = np.fft.rfft(K, 2 * nt, axis=0)
+        return self._kernel
+
+    def _edges(self, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+        """Levels 1..nt of a Gamma1 and a Gamma2 trace as the (nt, my+mx) edge values of the kernel."""
+        return np.concatenate([a1[: self.my, 1:], a2[: self.mx, 1:]]).T
+
+    def _traces(self, e: np.ndarray):
+        """The Gamma1 and Gamma2 trace arrays of (nt, my+mx) edge values; zero at n=0 and the Dirichlet ends."""
+        grid, my = self.grid, self.my
+        a1 = np.zeros((grid.ny, grid.nt + 1))
+        a2 = np.zeros((grid.nx, grid.nt + 1))
+        a1[:my, 1:] = e[:, :my].T
+        a2[: self.mx, 1:] = e[:, my:].T
+        return a1, a2
 
     def adjoint_gradient(self, r1: np.ndarray, r2: np.ndarray):
         """Exact gradient of the discrete misfit with respect to both fluxes.
 
         ``r1``/``r2`` are boundary residuals u|_Gamma - h shaped like flux
-        traces.  Solves the transpose of the marching recursion backward in
-        time and returns the gradient in the L2(Gamma x (0,T)) sense, shaped
-        (ny, nt+1) and (nx, nt+1).  The entries at n=0 and at the Dirichlet
-        endpoints are exactly zero: the discrete solution does not depend on
-        those flux samples.  The factors it builds stay cached on the
-        operator for the sensitivity marches that follow.
+        traces, and must be finite.  Returns the gradient in the
+        L2(Gamma x (0,T)) sense, shaped (ny, nt+1) and (nx, nt+1).  The
+        entries at n=0 and at the Dirichlet endpoints are exactly zero: the
+        discrete solution does not depend on those flux samples.  When levels
+        1..nt share one coefficient, the gradient is the weighted transpose
+        correlation with the operator's trace kernel (``_trace_kernel``),
+        which the first call builds; otherwise it solves the transpose of the
+        marching recursion backward in time, and the factors it builds stay
+        cached on the operator for the sensitivity marches that follow.
         """
         grid, w = self.grid, self.w
         mx, my, nt = self.mx, self.my, grid.nt
-        _check_shape("r1", r1, (grid.ny, nt + 1))
-        _check_shape("r2", r2, (grid.nx, nt + 1))
-        m = mx * my
+        for name, r, nodes in (("r1", r1, grid.ny), ("r2", r2, grid.nx)):
+            _check_shape(name, r, (nodes, nt + 1))
+            _check_finite(name, r)
         wt = time_weights(grid)
+        if self._invariant:
+            weight = wt[1:, None] * np.concatenate([self.dyc, self.dxc])
+            # g[m] = W^-1 sum_{n >= m} K[n-m]^T W r[n], the weighted transpose of the convolution
+            spectrum = np.fft.rfft(weight * self._edges(r1, r2), 2 * nt, axis=0)
+            correlation = (spectrum.conj()[:, None, :] @ self._trace_kernel())[:, 0, :].conj()
+            return self._traces(np.fft.irfft(correlation, 2 * nt, axis=0)[:nt] / weight)
+        m = mx * my
         row1, row2 = self.P[0, :], self.P[:, 0]
         # the residual terms of every level, row n-1 for level n
         base = np.zeros((nt, m))
@@ -360,11 +460,7 @@ class GridOperator:
                 if lu is None:
                     lu = self._lus[gid] = self._factor(n)
                 lam[n] = lu.solve(base[n - 1] + self.svol * w.near_history_transpose(lam, n, n1))
-        g1 = np.zeros((grid.ny, nt + 1))
-        g2 = np.zeros((grid.nx, nt + 1))
-        g1[:my, 1:] = -(lam[1:, row1] / wt[1:, None]).T
-        g2[:mx, 1:] = -(lam[1:, row2] / wt[1:, None]).T
-        return g1, g2
+        return self._traces(-lam[1:, self._edge_rows] / wt[1:, None])
 
 
 def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field, SolveReport]:
@@ -413,20 +509,35 @@ def solve_nonlinear(problem: NonlinearProblem, cfg: PicardConfig) -> tuple[Field
     return Field(grid, u_new), report
 
 
-def solve_sensitivity(op: GridOperator, s1: BoundaryTrace | None = None, s2: BoundaryTrace | None = None) -> Field:
-    """Linearized response to the fluxes (s1, s2) with zero source and initial data.
+def solve_sensitivity(
+    op: GridOperator, s1: BoundaryTrace | None = None, s2: BoundaryTrace | None = None
+) -> tuple[BoundaryTrace, BoundaryTrace]:
+    """Gamma1 and Gamma2 traces of the linearized response to the fluxes (s1, s2).
 
-    ``op`` carries the grid, the order and the frozen coefficient; the march
-    reuses the factors its ``adjoint_gradient`` cached.  A missing flux is
-    zero; ``s1`` must be a Gamma1 trace and ``s2`` a Gamma2 trace on the
+    The response has zero source and initial data; ``op`` carries the grid,
+    the order and the frozen coefficient.  When levels 1..nt share one
+    coefficient, the traces are the causal convolution of the fluxes with
+    the operator's trace kernel, which the first adjoint or sensitivity call
+    builds; otherwise they are the edges of a march, which reuses the
+    factors its ``adjoint_gradient`` cached.  A missing flux is zero; ``s1``
+    must be a finite Gamma1 trace and ``s2`` a finite Gamma2 trace on the
     operator's grid.
     """
     grid = op.grid
     for name, s, edge in (("s1", s1, Edge.GAMMA1), ("s2", s2, Edge.GAMMA2)):
-        if s is not None and (s.edge is not edge or s.grid != grid):
+        if s is None:
+            continue
+        if s.edge is not edge or s.grid != grid:
             raise ValueError(f"{name} must be a {edge.value} trace on the operator's grid")
-    f1 = s1.values if s1 is not None else np.zeros((grid.ny, grid.nt + 1))
-    f2 = s2.values if s2 is not None else np.zeros((grid.nx, grid.nt + 1))
-    source = np.zeros((grid.nx, grid.ny, grid.nt + 1))
-    vals = op.march(source, f1, f2, np.zeros((grid.nx, grid.ny)))
-    return Field(grid, vals)
+        _check_finite(name, s.values)
+    nt = grid.nt
+    f1 = s1.values if s1 is not None else np.zeros((grid.ny, nt + 1))
+    f2 = s2.values if s2 is not None else np.zeros((grid.nx, nt + 1))
+    if op._invariant:
+        # the causal convolution h[n] = sum_{m <= n} K[n-m] f[m]
+        spectrum = op._trace_kernel() @ np.fft.rfft(op._edges(f1, f2), 2 * nt, axis=0)[:, :, None]
+        a1, a2 = op._traces(np.fft.irfft(spectrum[:, :, 0], 2 * nt, axis=0)[:nt])
+    else:
+        u = op.march(np.zeros((grid.nx, grid.ny, nt + 1)), f1, f2, np.zeros((grid.nx, grid.ny)))
+        a1, a2 = u[0, :, :].copy(), u[:, 0, :].copy()  # copies: views would keep all of u alive
+    return BoundaryTrace(grid, Edge.GAMMA1, a1), BoundaryTrace(grid, Edge.GAMMA2, a2)

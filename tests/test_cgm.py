@@ -23,7 +23,6 @@ from fracflux.mesh import (
     BoundaryFlux,
     BoundaryTrace,
     Edge,
-    Field,
     Grid,
     restrict_to_edge,
     trace_inner,
@@ -128,12 +127,10 @@ def test_step_sizes_decoupled_when_one_direction_is_zero(setup):
     S1 = BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1)))
     S2 = BoundaryTrace(g, Edge.GAMMA2, np.zeros((g.nx, g.nt + 1)))
     op = GridOperator(g, problem.beta, kappa)
-    sens1 = solve_sensitivity(op, s1=S1)
-    sens2 = solve_sensitivity(op, s2=S2)
+    a = solve_sensitivity(op, s1=S1)
+    b = solve_sensitivity(op, s2=S2)
     r1 = rng.normal(size=(g.ny, g.nt + 1))
     r2 = rng.normal(size=(g.nx, g.nt + 1))
-    a = [restrict_to_edge(sens1, Edge.GAMMA1), restrict_to_edge(sens1, Edge.GAMMA2)]
-    b = [restrict_to_edge(sens2, Edge.GAMMA1), restrict_to_edge(sens2, Edge.GAMMA2)]
     z1, z2 = step_sizes(a, b, r1, r2)
     # with the second block empty the system degenerates to -R3/R1
     r = [BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)]
@@ -153,11 +150,10 @@ def test_step_sizes_solve_the_normal_equations(setup, scale):
     op = GridOperator(g, problem.beta, np.ones((g.nx, g.ny, g.nt + 1)))
     sens1 = solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, rng.normal(size=(g.ny, g.nt + 1))))
     sens2 = solve_sensitivity(op, s2=BoundaryTrace(g, Edge.GAMMA2, rng.normal(size=(g.nx, g.nt + 1))))
-    sens1, sens2 = Field(g, scale * sens1.values), Field(g, scale * sens2.values)
+    a = [BoundaryTrace(g, t.edge, scale * t.values) for t in sens1]
+    b = [BoundaryTrace(g, t.edge, scale * t.values) for t in sens2]
     r1 = scale * rng.normal(size=(g.ny, g.nt + 1))
     r2 = scale * rng.normal(size=(g.nx, g.nt + 1))
-    a = [restrict_to_edge(sens1, e) for e in Edge]
-    b = [restrict_to_edge(sens2, e) for e in Edge]
     z1, z2 = step_sizes(a, b, r1, r2)
     r = [BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)]
 

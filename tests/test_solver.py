@@ -398,9 +398,11 @@ def test_sensitivity_superposition():
     both = solve_sensitivity(op, s1=s1, s2=s2)
     only1 = solve_sensitivity(op, s1=s1)
     only2 = solve_sensitivity(op, s2=s2)
-    assert both.values == pytest.approx(only1.values + only2.values, rel=1e-12, abs=1e-13)
     doubled = solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, 2.0 * s1.values))
-    assert doubled.values == pytest.approx(2.0 * only1.values, rel=1e-13, abs=1e-14)
+    assert [t.edge for t in both] == [Edge.GAMMA1, Edge.GAMMA2]
+    for t, t1, t2, t11 in zip(both, only1, only2, doubled):
+        assert t.values == pytest.approx(t1.values + t2.values, rel=1e-12, abs=1e-13)
+        assert t11.values == pytest.approx(2.0 * t1.values, rel=1e-13, abs=1e-14)
 
 
 def test_sensitivity_rejects_a_trace_on_the_wrong_edge_or_grid():
@@ -530,19 +532,25 @@ def test_grid_operator_duality_on_a_drifting_coefficient(nx, ny, nt, beta, seed)
     nt=st.integers(1, 8),
     beta=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
+    one_coefficient=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 # nt past two block boundaries of the memory sums
-@example(nx=4, ny=5, nt=2 * _BLOCK + 7, beta=0.3, seed=3)
-@example(nx=5, ny=3, nt=3 * _BLOCK, beta=0.8, seed=11)
-def test_grid_operator_duality(nx, ny, nt, beta, seed):
+@example(nx=4, ny=5, nt=2 * _BLOCK + 7, beta=0.3, seed=3, one_coefficient=False)
+@example(nx=5, ny=3, nt=3 * _BLOCK, beta=0.8, seed=11, one_coefficient=False)
+# levels 1..nt share one coefficient: the adjoint runs on the trace kernel
+@example(nx=4, ny=5, nt=2 * _BLOCK + 7, beta=0.3, seed=3, one_coefficient=True)
+def test_grid_operator_duality(nx, ny, nt, beta, seed, one_coefficient):
     # sum_i <r_i, trace_i(march(0, d1, d2, 0))> = sum_i <adjoint_gradient(r)_i, d_i>
-    # for a positive coefficient that varies between levels, some repeated
+    # for a positive coefficient that varies between levels, some repeated,
+    # or that levels 1..nt share
     g = Grid(nx=nx, ny=ny, nt=nt)
     rng = np.random.default_rng(seed)
     kappa = 0.5 + 2.0 * rng.random(size=(nx, ny, nt + 1))
     for n in 1 + np.flatnonzero(rng.random(nt) < 0.3):
         kappa[:, :, n] = kappa[:, :, n - 1]
+    if one_coefficient:
+        kappa[:, :, 2:] = kappa[:, :, 1:2]
     op = GridOperator(g, beta, kappa)
     d1, r1 = rng.normal(size=(2, ny, nt + 1))
     d2, r2 = rng.normal(size=(2, nx, nt + 1))
@@ -555,3 +563,97 @@ def test_grid_operator_duality(nx, ny, nt, beta, seed):
         BoundaryTrace(g, Edge.GAMMA2, G2), BoundaryTrace(g, Edge.GAMMA2, d2)
     )
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
+
+
+def _one_coefficient_kappa(g, seed):
+    # varies in space, shared by levels 1..nt; level 0 differs and is never solved for
+    rng = np.random.default_rng(seed)
+    kappa = np.repeat((0.5 + 2.0 * rng.random((g.nx, g.ny)))[:, :, None], g.nt + 1, axis=2)
+    kappa[:, :, 0] = 1.0
+    return kappa
+
+
+def test_trace_kernel_matches_the_recursion():
+    # past three block boundaries of the memory sums; the public march and
+    # restrict_to_edge stay the recursion that the kernel path must reproduce
+    g = Grid(nx=7, ny=6, nt=3 * _BLOCK + 5)
+    kappa = _one_coefficient_kappa(g, seed=13)
+    rng = np.random.default_rng(14)
+    d = (rng.normal(size=(g.ny, g.nt + 1)), rng.normal(size=(g.nx, g.nt + 1)))
+    r = (rng.normal(size=(g.ny, g.nt + 1)), rng.normal(size=(g.nx, g.nt + 1)))
+    op = GridOperator(g, 0.35, kappa)
+    assert op._invariant
+    traces = solve_sensitivity(op, BoundaryTrace(g, Edge.GAMMA1, d[0]), BoundaryTrace(g, Edge.GAMMA2, d[1]))
+    u = Field(g, GridOperator(g, 0.35, kappa).march(np.zeros((g.nx, g.ny, g.nt + 1)), *d, np.zeros((g.nx, g.ny))))
+    marched = [restrict_to_edge(u, e).values for e in Edge]
+    for t, ref in zip(traces, marched):
+        assert np.max(np.abs(t.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # sum_i <r_i, trace_i(march(0, d1, d2, 0))> = sum_i <adjoint_gradient(r)_i, d_i>
+    G = op.adjoint_gradient(*r)
+    lhs = sum(trace_inner(BoundaryTrace(g, e, x), BoundaryTrace(g, e, y)) for e, x, y in zip(Edge, r, marched))
+    rhs = sum(trace_inner(BoundaryTrace(g, e, x), BoundaryTrace(g, e, y)) for e, x, y in zip(Edge, G, d))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def _counting_factors(monkeypatch):
+    """Counts of splu calls and of triangular solves on the factors they return."""
+    counts = {"splu": 0, "solve": 0}
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["solve"] += 1
+            return self._lu.solve(rhs)
+
+    def counting(a, **kw):
+        counts["splu"] += 1
+        return Counted(splu(a, **kw))
+
+    monkeypatch.setattr(solver, "splu", counting)
+    return counts
+
+
+@pytest.mark.parametrize("first", ["adjoint", "sensitivity"])
+def test_trace_kernel_is_built_once(monkeypatch, first):
+    # the first adjoint or sensitivity call factors once and solves each level
+    # once for all edge impulses; later calls only take FFT products
+    g = Grid(nx=6, ny=5, nt=40)
+    op = GridOperator(g, 0.5, _one_coefficient_kappa(g, seed=2))
+    rng = np.random.default_rng(3)
+    r1, r2 = rng.normal(size=(g.ny, g.nt + 1)), rng.normal(size=(g.nx, g.nt + 1))
+    s1, s2 = BoundaryTrace(g, Edge.GAMMA1, r1), BoundaryTrace(g, Edge.GAMMA2, r2)
+    counts = _counting_factors(monkeypatch)
+    if first == "adjoint":
+        op.adjoint_gradient(r1, r2)
+    else:
+        solve_sensitivity(op, s1=s1)
+    assert counts == {"splu": 1, "solve": g.nt}
+    for _ in range(2):
+        op.adjoint_gradient(r1, r2)
+        solve_sensitivity(op, s1=s1)
+        solve_sensitivity(op, s2=s2)
+    assert counts == {"splu": 1, "solve": g.nt}
+
+
+@pytest.mark.parametrize("one_coefficient", [True, False])
+def test_non_finite_residuals_and_fluxes_are_rejected(one_coefficient):
+    # a nan residual used to give nan gradient entries without an error, and on
+    # the kernel path an FFT would spread a nan flux over every level
+    g = Grid(nx=6, ny=5, nt=8)
+    kappa = _one_coefficient_kappa(g, seed=4) if one_coefficient else _drifting_kappa(g, 0.1, seed=4)
+    op = GridOperator(g, 0.5, kappa)
+    assert op._invariant is one_coefficient
+    f1, f2 = np.ones((g.ny, g.nt + 1)), np.ones((g.nx, g.nt + 1))
+    for bad in (np.nan, np.inf):
+        b1, b2 = f1.copy(), f2.copy()
+        b1[2, 3] = b2[1, 5] = bad
+        with pytest.raises(SolverError, match="r1 must be finite"):
+            op.adjoint_gradient(b1, f2)
+        with pytest.raises(SolverError, match="r2 must be finite"):
+            op.adjoint_gradient(f1, b2)
+        with pytest.raises(SolverError, match="s1 must be finite"):
+            solve_sensitivity(op, s1=BoundaryTrace(g, Edge.GAMMA1, b1))
+        with pytest.raises(SolverError, match="s2 must be finite"):
+            solve_sensitivity(op, s2=BoundaryTrace(g, Edge.GAMMA2, b2))
