@@ -9,7 +9,11 @@ affine, so the trial residual is the current one plus the step sizes times
 the sensitivity traces, exactly, and the run's only forward solve is the
 first; the operator that solve leaves builds its edge-trace kernel on the
 first adjoint (see ``solver``), and every adjoint and sensitivity solve of
-the run is then FFT products of length 2 nt.  Directions use
+the run is then FFT products of length 2 nt.  That solve, its traces and
+its operator, with the factor and kernel, are kept for the problem object
+while it lives: a later run on it whose source, fluxes and initial data are
+unchanged, such as the next noise level of a table sweep, solves nothing
+and forms only the residuals of its own observations.  Directions use
 Fletcher-Reeves coefficients with a restart every ``RESTART_EVERY``
 iterations, and a non-decreasing cost triggers one steepest-descent retry
 and then step halvings, ``MAX_BACKTRACKS`` + 2 trials in all, before the
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import numbers
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,11 +110,13 @@ class CgmReport:
     with a ``Constant`` coefficient, in closed form from the sensitivity
     traces; ``sd_retries`` counts the iterations that retried a rejected
     conjugate step along steepest descent.  ``forward_solves`` counts the
-    nonlinear forward solves of the run, the first and every trial step's on
-    a nonlinear model, a trial whose solve raised included; so it is
-    ``trial_steps + 1`` on a nonlinear model and 1 on a constant one.
-    ``unconverged_solves`` counts those whose ``SolveReport.converged`` was
-    False, for example because they spent the ``INNER_PICARD`` sweep budget.
+    nonlinear forward solves this run performed, the first and every trial
+    step's on a nonlinear model, a trial whose solve raised included; so it
+    is ``trial_steps + 1`` on a nonlinear model, and on a constant one 1, or
+    0 when the run started from the f^0 solve of an earlier run on the same
+    problem.  ``unconverged_solves`` counts those whose
+    ``SolveReport.converged`` was False, for example because they spent the
+    ``INNER_PICARD`` sweep budget.
     """
 
     k_star: int
@@ -134,15 +141,49 @@ def _misfit(grid, r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * (n1**2 + n2**2)
 
 
+# The f^0 state of the last Constant-model problem that _forward_state solved:
+# a weak reference to the problem, whose death frees the state, copies of the
+# data the solve read, the operator, the Gamma1 and Gamma2 traces of the
+# solution and its convergence flag.  A table sweep inverts one problem under
+# several noise levels, and every level after the first starts from this.
+_shared = None
+
+
+def _release(ref) -> None:
+    global _shared
+    if _shared is not None and _shared[0] is ref:
+        _shared = None
+
+
 def _forward_state(problem: NonlinearProblem, obs: Observations):
-    """Unfactored operator at the frozen coefficient, residuals, misfit and convergence flag of the solve at ``problem.flux``."""
+    """Operator, residuals, misfit and convergence flag of the solve at ``problem.flux``, and whether this call solved.
+
+    The operator carries the frozen coefficient of the solve.  After a solve
+    it holds no factor; on a ``Constant`` model it is shared with every later
+    call on the same problem object whose source, fluxes and initial data
+    still equal those of the solve, together with the solution's traces, so
+    such a call solves nothing and finds the operator with the factor and the
+    edge-trace kernel that earlier runs left on it.  Only the residuals and
+    the misfit are formed from ``obs`` anew.
+    """
+    global _shared
     if obs.h1.grid != problem.grid:
         raise ValueError("observations and problem on different grids")
-    u, rep = solve_nonlinear(problem, INNER_PICARD)
-    r1 = restrict_to_edge(u, Edge.GAMMA1).values - obs.h1.values
-    r2 = restrict_to_edge(u, Edge.GAMMA2).values - obs.h2.values
-    op = GridOperator(problem.grid, problem.beta, rep.kappa)
-    return op, r1, r2, _misfit(problem.grid, r1, r2), rep.converged
+    data = (problem.source, problem.flux.f1.values, problem.flux.f2.values, problem.g)
+    if _shared is not None and _shared[0]() is problem and all(map(np.array_equal, _shared[1], data)):
+        op, t1, t2, converged = _shared[2:]
+        solved = False
+    else:
+        u, rep = solve_nonlinear(problem, INNER_PICARD)
+        t1 = restrict_to_edge(u, Edge.GAMMA1).values
+        t2 = restrict_to_edge(u, Edge.GAMMA2).values
+        op = GridOperator(problem.grid, problem.beta, rep.kappa)
+        converged, solved = rep.converged, True
+        if isinstance(problem.model, Constant):
+            _shared = (weakref.ref(problem, _release), [np.array(a) for a in data], op, t1, t2, converged)
+    r1 = t1 - obs.h1.values
+    r2 = t2 - obs.h2.values
+    return op, r1, r2, _misfit(problem.grid, r1, r2), converged, solved
 
 
 def cost(problem: NonlinearProblem, obs: Observations) -> float:
@@ -152,7 +193,7 @@ def cost(problem: NonlinearProblem, obs: Observations) -> float:
 
 def gradient(problem: NonlinearProblem, obs: Observations):
     """Misfit gradient with respect to (f1, f2) at the problem's flux, as L2 boundary traces."""
-    op, r1, r2, _, _ = _forward_state(problem, obs)
+    op, r1, r2, *_ = _forward_state(problem, obs)
     g1, g2 = op.adjoint_gradient(r1, r2)
     return BoundaryTrace(op.grid, Edge.GAMMA1, g1), BoundaryTrace(op.grid, Edge.GAMMA2, g2)
 
@@ -197,15 +238,17 @@ def run_cgm(
 ) -> CgmReport:
     """Identification loop from f^0 = ``problem.flux``; never raises on MaxIter.
 
-    One forward solve at f^0, then per iteration: discrepancy check, adjoint
-    gradient, Fletcher-Reeves direction (restart every ``RESTART_EVERY``
-    iterations), two sensitivity solves, closed-form steps, trial step.  A
-    trial is a forward solve at the trial flux on a nonlinear model; with a
-    ``Constant`` coefficient it is the exact affine update
-    r_i + zeta1 sens1|Gamma_i + zeta2 sens2|Gamma_i of the residuals, and the
-    run keeps the first solve's operator: its first adjoint factors it once
-    and builds its edge-trace kernel, which then serves every adjoint and
-    sensitivity solve as FFT products.  The closed-form steps solve
+    One forward solve at f^0 (on a ``Constant`` model, none when an earlier
+    run on the same, unchanged problem object made it), then per iteration:
+    discrepancy check, adjoint gradient, Fletcher-Reeves direction (restart
+    every ``RESTART_EVERY`` iterations), two sensitivity solves, closed-form
+    steps, trial step.  A trial is a forward solve at the trial flux on a
+    nonlinear model; with a ``Constant`` coefficient it is the exact affine
+    update r_i + zeta1 sens1|Gamma_i + zeta2 sens2|Gamma_i of the residuals,
+    and the run keeps the f^0 solve's operator: the first adjoint on it
+    factors it once and builds its edge-trace kernel, which then serves
+    every adjoint and sensitivity solve, of this run and of the later runs
+    that share the solve, as FFT products.  The closed-form steps solve
     the frozen-coefficient quadratic model, which can overshoot when the
     coefficient reacts to the iterate; a non-decreasing trial therefore falls
     back to steepest descent and then halves the step until the cost
@@ -226,9 +269,9 @@ def run_cgm(
     S1 = S2 = gn_prev = None
     k = 0
 
-    op, r1, r2, J, converged = _forward_state(problem, obs)
+    op, r1, r2, J, converged, solved = _forward_state(problem, obs)
     J_history = [J]
-    forward_solves, unconverged_solves = 1, int(not converged)
+    forward_solves, unconverged_solves = int(solved), int(solved and not converged)
     trial_steps = sd_retries = 0
 
     while True:
@@ -270,7 +313,7 @@ def run_cgm(
             else:
                 forward_solves += 1
                 try:
-                    op_try, r1_try, r2_try, J_try, converged = _forward_state(replace(problem, flux=f_try), obs)
+                    op_try, r1_try, r2_try, J_try, converged, _ = _forward_state(replace(problem, flux=f_try), obs)
                 except SolverError:
                     J_try = np.inf  # diverging trial step: reject and shrink
                 else:

@@ -33,8 +33,9 @@ and the coefficient may vary in space), every level has the same matrix and
 the L1 weights depend only on the lag, so the edge traces respond to the
 fluxes by a causal convolution h[n] = sum_{m <= n} K[n-m] f[m], with
 (ny-1 + nx-1)-square blocks K[l].  Such an operator builds K on its first
-adjoint or sensitivity call, in one pass over the levels with every edge
-impulse as a column of the right-hand side, on its one factor; after that
+adjoint or sensitivity call, on its one factor, in passes over the levels
+with the edge impulses as columns of the right-hand side, as many columns
+in a pass as ``_KERNEL_BYTES`` of increments hold; after that
 ``adjoint_gradient`` (the weighted transpose correlation with K) and
 ``solve_sensitivity`` (the convolution) are FFT products of length 2 nt.
 An operator whose coefficient changes between levels keeps the recursions.
@@ -91,6 +92,11 @@ _C = (1.0 + _DRIFT) / (1.0 - _DRIFT)
 _RHO = (math.sqrt(_C) - 1.0) / (math.sqrt(_C) + 1.0)
 _LOG_DRIFT = math.log1p(_DRIFT)
 _CG_MAXITER = math.ceil(math.log(_CG_RTOL / (2.0 * _DRIFT * math.sqrt(_C))) / math.log(_RHO))
+# A kernel pass holds every level's increments of each of its columns, 8 nt m
+# bytes a column for m unknowns; the build takes the edge impulses in groups
+# of columns whose increments fit in _KERNEL_BYTES (one pass at 11x11 nodes
+# and nt = 1000, which needs 16 MiB; four at 21x21 and nt = 2000, 256 MiB).
+_KERNEL_BYTES = 64 << 20
 
 
 class SolverError(RuntimeError):
@@ -392,16 +398,22 @@ class GridOperator:
         edge values at level 1 + l to a unit flux at level 1 on edge node j;
         every level has the same matrix and the L1 weights depend only on the
         lag, so a flux at level m has the response K[l] at level m + l.  The
-        kernel is built on the first call, in one pass of ``_levels`` with
-        the my + mx impulses as its columns, on the operator's one factor,
-        and kept for the later calls.
+        kernel is built on the first call, on the operator's one factor, and
+        kept for the later calls: in passes of ``_levels`` with the my + mx
+        impulses as columns, as many in one pass as ``_KERNEL_BYTES`` allows.
         """
         if self._kernel is None:
             m, nt = self.mx * self.my, self.grid.nt
             edge = self._edge_rows
-            impulse = np.zeros((1, m, len(edge)))
-            impulse[0, edge, np.arange(len(edge))] = -np.concatenate([self.dyc, self.dxc])
-            K = self._levels(impulse, np.zeros((m, len(edge))), edge)[0][1:]
+            weights = -np.concatenate([self.dyc, self.dxc])
+            width = max(1, _KERNEL_BYTES // (8 * nt * m))
+            K = np.empty((nt, len(edge), len(edge)))
+            for j0 in range(0, len(edge), width):
+                cols = slice(j0, j0 + width)
+                c = len(edge[cols])
+                impulse = np.zeros((1, m, c))
+                impulse[0, edge[cols], np.arange(c)] = weights[cols]
+                K[:, :, cols] = self._levels(impulse, np.zeros((m, c)), edge)[0][1:]
             self._kernel = np.fft.rfft(K, 2 * nt, axis=0)
         return self._kernel
 

@@ -1,5 +1,7 @@
 """Tests for the cost/gradient pair, step-size algebra, and the CGM driver."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from fracflux.cgm import (
     run_cgm,
     step_sizes,
 )
-from fracflux.experiments import PRESETS
+from fracflux.experiments import PRESETS, NoiseSpec, noisy_observations
 from fracflux.materials import Constant
 from fracflux.mesh import (
     BoundaryFlux,
@@ -261,6 +263,89 @@ def test_constant_k_run_cgm_factors_one_operator_once(monkeypatch):
     rep = run_cgm(example.problem, example.observations, max_iter=3)
     assert rep.k_star >= 2
     assert len(factorizations) == 2 + 1
+
+
+def _same_run(a, b) -> bool:
+    return (
+        a.J_history == b.J_history
+        and a.records == b.records
+        and np.array_equal(a.reconstructed.f1.values, b.reconstructed.f1.values)
+        and np.array_equal(a.reconstructed.f2.values, b.reconstructed.f2.values)
+    )
+
+
+def _mutate(problem, name):
+    """Change one interior entry of the problem's source, a flux or the initial data in place."""
+    arrays = {"source": problem.source, "f1": problem.flux.f1.values, "f2": problem.flux.f2.values, "g": problem.g}
+    arrays[name][(1, 1, 2)[: arrays[name].ndim]] += 0.25
+
+
+def _copy(problem):
+    """A distinct problem whose data equal the problem's now."""
+    g = problem.grid
+    flux = BoundaryFlux(*(BoundaryTrace(g, f.edge, f.values.copy()) for f in (problem.flux.f1, problem.flux.f2)))
+    return NonlinearProblem(g, problem.beta, problem.model, problem.source.copy(), flux, problem.g.copy())
+
+
+@pytest.mark.parametrize("name", ["source", "f1", "f2", "g"])
+def test_constant_k_runs_on_one_problem_share_its_f0_state(monkeypatch, name):
+    # the noise levels of a table sweep invert one problem object: after the
+    # first run, a run on it solves nothing and factors nothing, and gives what
+    # a run that solves for itself gives; a change to the problem's data in
+    # place, or a distinct problem with equal data, is solved again
+    example = PRESETS["Inv2"](Grid.from_spacing(0.25, 0.25), 0.5)
+    problem, clean = example.problem, example.observations
+    noisy = noisy_observations(clean, NoiseSpec(gamma=0.01, seed=3))
+    solved, factorizations, splu = [], [], solver.splu
+
+    def counting(problem, cfg):
+        solved.append(problem)
+        return solve_nonlinear(problem, cfg)
+
+    monkeypatch.setattr(cgm, "solve_nonlinear", counting)
+    monkeypatch.setattr(solver, "splu", lambda A, **kw: factorizations.append(1) or splu(A, **kw))
+    first = run_cgm(problem, clean, max_iter=3)
+    assert (len(solved), len(factorizations), first.forward_solves) == (1, 2 + 1, 1)
+    before = _copy(problem)
+    shared = run_cgm(problem, noisy, max_iter=3)
+    assert (len(solved), len(factorizations), shared.forward_solves, shared.unconverged_solves) == (1, 3, 0, 0)
+    assert shared.k_star >= 1
+
+    _mutate(problem, name)
+    mutated = run_cgm(problem, noisy, max_iter=3)
+    assert len(solved) == 2 and solved[-1] is problem and mutated.forward_solves == 1
+    assert not _same_run(mutated, shared)
+    after = _copy(problem)
+    assert _same_run(mutated, run_cgm(after, noisy, max_iter=3))
+    assert len(solved) == 3 and solved[-1] is after
+    assert _same_run(shared, run_cgm(before, noisy, max_iter=3))
+    assert len(solved) == 4 and solved[-1] is before
+
+
+def test_shared_f0_state_goes_with_its_problem():
+    example = PRESETS["Inv2"](Grid.from_spacing(0.25, 0.25), 0.5)
+    run_cgm(example.problem, example.observations, max_iter=1)
+    problem, op = weakref.ref(example.problem), weakref.ref(cgm._shared[2])
+    del example
+    gc.collect()
+    assert problem() is None and op() is None and cgm._shared is None
+
+
+def test_nonlinear_runs_never_share_the_f0_state(monkeypatch):
+    # max_iter = 0: the f0 solve is the run's last, so nothing replaces a state it might leave
+    example = PRESETS["Inv1"](Grid.from_spacing(0.25, 0.25), 0.5)
+    problem = example.problem
+    solved = []
+
+    def counting(problem, cfg):
+        solved.append(problem)
+        return solve_nonlinear(problem, cfg)
+
+    monkeypatch.setattr(cgm, "solve_nonlinear", counting)
+    reports = [run_cgm(problem, example.observations, max_iter=0) for _ in range(2)]
+    assert [r.forward_solves for r in reports] == [1, 1]
+    assert len(solved) == 2 and all(p is problem for p in solved)
+    assert cgm._shared is None or cgm._shared[0]() is not problem
 
 
 def test_run_cgm_counts_trial_steps_and_steepest_descent_retries(monkeypatch):

@@ -224,6 +224,42 @@ seed = 5
     assert not [p for p in os.listdir(out) if p.startswith(".tmp")]
 
 
+def test_table_rows_equal_separate_invert_runs(tmp_path):
+    # the sweep's noise levels share the f0 state of one problem; an invert run
+    # at each level solves its own and must write the same strings
+    gammas = ("0", "0.005", "0.01")
+    text = """
+[run]
+mode = {mode}
+preset = Inv2
+
+[grid]
+nx = 7
+ny = 7
+nt = 20
+
+[cgm]
+max_iter = 20
+
+[noise]
+{noise}
+seed = 5
+"""
+    table = _write_config(tmp_path / "table.ini", text.format(mode="table", noise="gammas = " + ", ".join(gammas)))
+    assert run(table, out=str(tmp_path / "table"), quiet=True) == 0
+    with open(tmp_path / "table" / "table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["gamma"]) for r in rows] == [float(gamma) for gamma in gammas]
+    keys = ("k_star", "epsilon_bar", "E_f1", "E_f2")
+    for gamma, row in zip(gammas, rows):
+        cfg = _write_config(tmp_path / f"{gamma}.ini", text.format(mode="invert", noise="gamma = " + gamma))
+        assert run(cfg, out=str(tmp_path / gamma), quiet=True) == 0
+        with open(tmp_path / gamma / "summary.csv") as fh:
+            summary = next(csv.DictReader(fh))
+        assert [summary[k] for k in keys] == [row[k] for k in keys], gamma
+        assert int(row["k_star"]) > 0
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert run(str(tmp_path / "nope.ini"), quiet=True) == EXIT_CONFIG
 

@@ -637,6 +637,21 @@ def test_trace_kernel_is_built_once(monkeypatch, first):
     assert counts == {"splu": 1, "solve": g.nt}
 
 
+@pytest.mark.parametrize("width, passes", [(4, 3), (1, 11)])
+def test_trace_kernel_in_column_groups_matches_one_pass(monkeypatch, width, passes):
+    # a cap on the increments that one pass holds splits the 11 edge impulses
+    # into groups of at most ``width`` columns, all on the operator's one factor
+    g = Grid(nx=7, ny=6, nt=2 * _BLOCK + 3)
+    kappa = _one_coefficient_kappa(g, seed=5)
+    one = GridOperator(g, 0.35, kappa)._trace_kernel()
+    grouped = GridOperator(g, 0.35, kappa)
+    monkeypatch.setattr(solver, "_KERNEL_BYTES", 8 * g.nt * (g.nx - 1) * (g.ny - 1) * width + 7)
+    counts = _counting_factors(monkeypatch)
+    K = grouped._trace_kernel()
+    assert counts == {"splu": 1, "solve": passes * g.nt}
+    assert np.max(np.abs(K - one)) <= 1e-14 * np.max(np.abs(one))
+
+
 @pytest.mark.parametrize("one_coefficient", [True, False])
 def test_non_finite_residuals_and_fluxes_are_rejected(one_coefficient):
     # a nan residual used to give nan gradient entries without an error, and on
