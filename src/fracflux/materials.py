@@ -4,7 +4,7 @@ Three laws: a constant coefficient, the Ramberg-Osgood engineering material
 law in units of the shear compliance (elastic plateau 1 followed by a
 power-law decay beyond the yield threshold T0^2), and the rational law
 1/(1 + T^2) in closed form.  ``kappa_from_iterate`` evaluates a law at
-|grad u|^2 of every time level of an iterate.
+|grad u|^2 of every time level of an iterate, a block of levels at a time.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import gradient_squared
+from .mesh import _level_blocks, gradient_squared
 
 
 class PlasticityModel:
-    """Interface: the vectorized coefficient ``k(t_sq)``."""
+    """Interface: the vectorized coefficient ``k(t_sq)``, elementwise in ``t_sq``."""
 
     def k(self, t_sq):
         raise NotImplementedError
@@ -77,5 +77,14 @@ class Rational(PlasticityModel):
 
 
 def kappa_from_iterate(model: PlasticityModel, grid, values: np.ndarray) -> np.ndarray:
-    """Coefficient arrays k(|grad u|^2) for every time level at once."""
-    return model.k(gradient_squared(values, grid.hx, grid.hy))
+    """Coefficient arrays k(|grad u|^2) for every time level of an (nx, ny, nt+1) iterate.
+
+    Evaluated a block of time levels at a time, into the one array returned.
+    ``np.gradient`` acts on the two space axes only and k is elementwise, so
+    every level's value is bit for bit the whole-stack evaluation's, and the
+    temporaries take a few blocks of levels instead of four copies of the stack.
+    """
+    kappa = np.empty(values.shape)
+    for levels in _level_blocks(kappa.shape[2]):
+        kappa[:, :, levels] = model.k(gradient_squared(values[:, :, levels], grid.hx, grid.hy))
+    return kappa

@@ -186,6 +186,17 @@ def restrict_to_edge(fl: Field, edge: Edge) -> BoundaryTrace:
     return BoundaryTrace(fl.grid, edge, vals.copy())
 
 
+# time levels per block of ``spacetime_h1_diff`` and ``kappa_from_iterate``:
+# their temporaries then take a few blocks of levels, not a few copies of the
+# whole (nx, ny, nt+1) stack
+_LEVELS = 64
+
+
+def _level_blocks(n: int) -> list[slice]:
+    """Slices of at most ``_LEVELS`` consecutive time levels that cover levels 0..n-1 in order."""
+    return [slice(l0, l0 + _LEVELS) for l0 in range(0, n, _LEVELS)]
+
+
 def gradient_squared(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """|grad u|^2 by central differences (one-sided on the boundary rows).
 
@@ -197,10 +208,18 @@ def gradient_squared(values: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 
 def spacetime_h1_diff(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """The L2(0,T; H^1) norm of a - b: sqrt of the time integral of |grad|^2 + value^2."""
-    d = a - b
-    dens = gradient_squared(d, grid.hx, grid.hy) + d**2
+    """The L2(0,T; H^1) norm of a - b: sqrt of the time integral of |grad|^2 + value^2.
+
+    The density is integrated over space a block of time levels at a time.
+    ``np.gradient`` acts on the two space axes only and the rest is per level,
+    so every level's integral is bit for bit the whole stack's, and the
+    temporaries take a few blocks of levels instead of five copies of the stack.
+    """
     wx = _trapezoid_weights(grid.nx, grid.hx)
     wy = _trapezoid_weights(grid.ny, grid.hy)
-    per_level = np.einsum("i,j,ijn->n", wx, wy, dens)
+    per_level = np.empty(a.shape[2])
+    for levels in _level_blocks(len(per_level)):
+        d = a[:, :, levels] - b[:, :, levels]
+        dens = gradient_squared(d, grid.hx, grid.hy) + d**2
+        per_level[levels] = np.einsum("i,j,ijn->n", wx, wy, dens)
     return float(np.sqrt(max(per_level @ time_weights(grid), 0.0)))

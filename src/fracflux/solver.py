@@ -15,8 +15,11 @@ from the right-hand sides of all the block's levels the memory of the
 increments before it, in one matrix product, and each level adds only the
 memory of its own block's increments; the adjoint recursion does the same
 with the transposed sums, block by block backward in time.  The level loop
-of a march (``GridOperator._levels``) also solves many right-hand sides at
-once, one triangular solve per level for all of them.
+of a march (``GridOperator._levels``) forms a block's source and flux terms
+when it reaches the block and writes the block's levels straight into the
+march's output when it leaves it, so a march holds its output, the
+increments of every level and one block.  The loop also solves many
+right-hand sides at once, one triangular solve per level for all of them.
 
 ``GridOperator`` owns one sparse matrix and the LU factors of its levels
 (levels with identical coefficient slices share one factorization) and also
@@ -299,11 +302,14 @@ class GridOperator:
         """Advance all time levels; returns the (nx, ny, nt+1) value array.
 
         ``f1``/``f2`` are flux samples shaped (ny, nt+1) / (nx, nt+1); the
-        Dirichlet endpoint of each is ignored.  Uses the factors a previous
-        ``adjoint_gradient`` cached; caches its own factor only when the
-        coefficient is the same on every level.  A level without a cached
-        factor whose coefficient is within ``_DRIFT`` of the held factor's is
-        solved by ``_pcg``, and factored only if CG does not converge.
+        Dirichlet endpoint of each is ignored.  The output is allocated first
+        and ``_levels`` writes the levels into it, a block at a time; the
+        source and flux terms of a block's right-hand sides are formed when
+        the loop reaches it.  Uses the factors a previous ``adjoint_gradient``
+        cached; caches its own factor only when the coefficient is the same on
+        every level.  A level without a cached factor whose coefficient is
+        within ``_DRIFT`` of the held factor's is solved by ``_pcg``, and
+        factored only if CG does not converge.
         """
         grid = self.grid
         mx, my, nt = self.mx, self.my, grid.nt
@@ -312,60 +318,67 @@ class GridOperator:
         _check_shape("f2", f2, (grid.nx, nt + 1))
         g = _check_g(grid, g)
         row1, row2 = self.P[0, :], self.P[:, 0]
-        # every level-independent term of the right-hand side, row n-1 for level n
-        base = self.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, mx * my)
-        base[:, row1] -= (f1[:my, 1:] * self.dyc[:, None]).T
-        base[:, row2] -= (f2[:mx, 1:] * self.dxc[:, None]).T
-        # the last level's factor lives until this returns: freed before ``out``
-        # was allocated, it raised the peak RSS of the bench's Fwd1 solve by 5 MiB
-        U, last_factor = self._levels(base, g[:mx, :my].ravel(), slice(None))
+
+        def terms(n0: int, n1: int) -> np.ndarray:
+            # every level-independent term of the right-hand sides, row n-n0-1 for level n
+            levels = slice(n0 + 1, n1 + 1)
+            b = self.vol * np.moveaxis(source[:mx, :my, levels], 2, 0).reshape(n1 - n0, mx * my)
+            b[:, row1] -= (f1[:my, levels] * self.dyc[:, None]).T
+            b[:, row2] -= (f2[:mx, levels] * self.dxc[:, None]).T
+            return b
+
         out = np.zeros((grid.nx, grid.ny, nt + 1))
-        out[:mx, :my, :] = U.reshape(nt + 1, mx, my).transpose(1, 2, 0)
         out[:, :, 0] = g
+        self._levels(terms, g[:mx, :my].ravel(), self.P, np.moveaxis(out[:mx, :my, 1:], 2, 0))
         return out
 
-    def _levels(self, base: np.ndarray, u0: np.ndarray, rows):
-        """The L1 recursion over levels 1..nt.
+    def _levels(self, terms, u0: np.ndarray, rows, dest: np.ndarray) -> None:
+        """The L1 recursion over levels 1..nt, written into ``dest``.
 
-        Returns rows ``rows`` of the unknowns of levels 0..nt, and the factor
-        that solved the last level, which ``march`` holds until it has
-        allocated its output.
+        ``u0`` holds the unknowns of level 0.  ``terms(n0, n1)`` gives the
+        terms of the right-hand sides of the levels n0 < n <= n1 of one
+        ``L1Weights.blocks`` block that do not depend on the solution, row
+        n-n0-1 for level n; it may return fewer rows, and the levels past them
+        have none.  The loop asks for them when it reaches the block, and when
+        it leaves the block it checks that the block's levels are finite and
+        sets ``dest[n-1] = x[rows]`` for the unknowns x of each of its levels
+        n.  So besides ``dest`` it holds the increments of every level, which
+        the memory sums read, and one block.
 
-        ``u0`` holds the unknowns of level 0 and ``base`` the terms of the
-        right-hand side that do not depend on the solution, row n-1 for level
-        n; the levels past its last row have none.  A trailing axis of ``u0``
-        and ``base`` holds right-hand sides solved together: one triangular
-        solve per level serves them all, and the memory sums run over all of
-        them in one product.  That is the kernel build's use, on a coefficient
-        shared by every level, where the CG gate never opens; ``_pcg`` takes
-        a single right-hand side.
+        A trailing axis of ``u0`` and of the terms holds right-hand sides
+        solved together: one triangular solve per level serves them all, and
+        the memory sums run over all of them in one product.  That is the
+        kernel build's use, on a coefficient shared by every level, where the
+        CG gate never opens; ``_pcg`` takes a single right-hand side.
         """
         w, nt = self.w, self.grid.nt
         shape = u0.shape
         svol = self.svol.reshape((-1,) + (1,) * (len(shape) - 1))
-        kept = np.empty((nt + 1,) + u0[rows].shape)
-        kept[0] = u0[rows]
         diffs = np.zeros((nt,) + shape)  # diffs[q-1] = level q minus level q-1
         flat = diffs.reshape(nt, -1)  # a view: the memory sums treat every column alike
         prev = u0
         held, lu = -1, None
         keep = self._invariant  # one factor for every level: the next march reuses it
-        if keep:
-            drift = np.zeros(nt + 1)
-        else:
-            # drift[n] - drift[a] >= |log(kappa_n / kappa_a)| at every node
-            steps = np.abs(np.diff(np.log(self.kappa), axis=2)).max(axis=(0, 1))
-            drift = np.concatenate([[0.0], np.cumsum(steps)])
-        # a non-finite level poisons the later ones; the check after the loop names the first
+        drift = np.zeros(1)
+        # a non-finite level poisons the later ones; the check at the end of its block names the first
         with np.errstate(invalid="ignore", over="ignore"):
             for n0, n1 in w.blocks():
+                if keep:
+                    drift = np.zeros(n1 - n0 + 1)
+                else:
+                    # drift[n - n0] minus its value at an earlier level a of the
+                    # march is >= |log(kappa_n / kappa_a)| at every node
+                    steps = np.abs(np.diff(np.log(self.kappa[:, :, n0 : n1 + 1]), axis=2)).max(axis=(0, 1))
+                    drift = np.cumsum(np.concatenate([drift[-1:], steps]))
                 # the memory of the increments before the block, for all its levels at once
                 block = -(svol * w.far_history(flat, n0, n1).reshape((n1 - n0,) + shape))
-                block[: max(len(base) - n0, 0)] += base[n0:n1]
+                base = terms(n0, n1)
+                block[: len(base)] += base
+                kept = np.empty((n1 - n0,) + dest.shape[1:])
                 for n in range(n0 + 1, n1 + 1):
                     if self._group[n] != held:
                         held, A = self._group[n], None
-                        if lu is not None and held not in self._lus and drift[n] <= limit:
+                        if lu is not None and held not in self._lus and drift[n - n0] <= limit:
                             A = self._assemble(n)  # the group's levels are solved by CG on lu
                         else:
                             lu = self._lus.get(held)
@@ -373,22 +386,22 @@ class GridOperator:
                                 lu = self._factor(n)
                                 if keep:
                                     self._lus[held] = lu
-                            limit = drift[n] + _LOG_DRIFT
+                            limit = drift[n - n0] + _LOG_DRIFT
                     rhs = block[n - n0 - 1] + svol * (prev - w.near_history(flat, n0, n).reshape(shape))
                     x = None if A is None else _pcg(A, lu, rhs)
                     if x is not None:
                         self.cg_levels += 1
                     else:
                         if A is not None:  # CG did not converge: factor this level and the rest of its group
-                            A, lu, limit = None, self._factor(n), drift[n] + _LOG_DRIFT
+                            A, lu, limit = None, self._factor(n), drift[n - n0] + _LOG_DRIFT
                         x = lu.solve(rhs)
-                    kept[n] = x[rows]
+                    kept[n - n0 - 1] = x[rows]
                     np.subtract(x, prev, out=diffs[n - 1])
                     prev = x
-        finite = np.isfinite(kept.reshape(nt + 1, -1)).all(axis=1)
-        if not finite.all():
-            raise SolverError(f"non-finite solution at level {int(np.argmin(finite))}")
-        return kept, lu
+                finite = np.isfinite(kept.reshape(n1 - n0, -1)).all(axis=1)
+                if not finite.all():
+                    raise SolverError(f"non-finite solution at level {n0 + 1 + int(np.argmin(finite))}")
+                dest[n0:n1] = kept
 
     def _trace_kernel(self) -> np.ndarray:
         """The edge-trace kernel of a coefficient shared by levels 1..nt, as its real FFT of length 2 nt.
@@ -413,7 +426,7 @@ class GridOperator:
                 c = len(edge[cols])
                 impulse = np.zeros((1, m, c))
                 impulse[0, edge[cols], np.arange(c)] = weights[cols]
-                K[:, :, cols] = self._levels(impulse, np.zeros((m, c)), edge)[0][1:]
+                self._levels(lambda n0, n1: impulse[n0:n1], np.zeros((m, c)), edge, K[:, :, cols])
             self._kernel = np.fft.rfft(K, 2 * nt, axis=0)
         return self._kernel
 

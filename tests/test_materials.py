@@ -12,7 +12,7 @@ from fracflux.materials import (
     Rational,
     kappa_from_iterate,
 )
-from fracflux.mesh import Grid
+from fracflux.mesh import _LEVELS, Grid, gradient_squared
 
 
 SOFT = RambergOsgood(t0_sq=0.02, hardening=0.5)
@@ -106,3 +106,13 @@ def test_k_field_linear_iterate_power_branch():
     u = np.repeat((a * X)[:, :, None], g.nt + 1, axis=2)
     want = (a**2 / 0.02) ** (0.5 * (0.5 - 1.0))
     assert kappa_from_iterate(SOFT, g, u) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nt", [1, _LEVELS - 1, 2 * _LEVELS + 5])
+@pytest.mark.parametrize("model", [Constant(1.7), SOFT, Rational()], ids=["constant", "ramberg-osgood", "rational"])
+def test_kappa_from_iterate_is_the_whole_stack_evaluation_bit_for_bit(model, nt):
+    # evaluated a block of levels at a time; one call on the whole stack is the reference
+    g = Grid(nx=7, ny=6, nt=nt)
+    u = np.cumsum(np.random.default_rng(nt).normal(size=(g.nx, g.ny, g.nt + 1)), axis=2)
+    whole = model.k(gradient_squared(u, g.hx, g.hy))
+    assert np.array_equal(kappa_from_iterate(model, g, u), whole)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracflux.mesh import (
+    _LEVELS,
     BoundaryFlux,
     BoundaryTrace,
     Edge,
@@ -199,3 +200,16 @@ def test_h1_norm_of_linear_field_converges():
 def test_h1_norm_zero_field(grid):
     u = np.random.default_rng(3).normal(size=(grid.nx, grid.ny, grid.nt + 1))
     assert spacetime_h1_diff(grid, u, u) == 0.0
+
+
+@pytest.mark.parametrize("nt", [1, _LEVELS - 1, 2 * _LEVELS + 5])
+def test_h1_diff_is_the_whole_stack_sum_bit_for_bit(nt):
+    # integrated a block of levels at a time; the density of the whole stack is the reference
+    g = Grid(nx=7, ny=6, nt=nt)
+    rng = np.random.default_rng(nt)
+    a, b = rng.normal(size=(2, g.nx, g.ny, g.nt + 1))
+    d = a - b
+    dens = gradient_squared(d, g.hx, g.hy) + d**2
+    wx, wy = edge_weights(g, Edge.GAMMA2), edge_weights(g, Edge.GAMMA1)
+    whole = float(np.sqrt(max(np.einsum("i,j,ijn->n", wx, wy, dens) @ time_weights(g), 0.0)))
+    assert spacetime_h1_diff(g, a, b) == whole

@@ -196,14 +196,61 @@ def test_assembly_matches_a_dense_five_point_operator():
 
 
 def test_non_finite_level_is_named_without_a_warning():
-    g = Grid(nx=6, ny=6, nt=6)
-    op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
-    src = np.zeros((g.nx, g.ny, g.nt + 1))
-    src[2, 2, 3] = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SolverError, match="non-finite solution at level 3$"):
-            op.march(src, *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    # the second case's bad source lies past the first block, whose right-hand
+    # sides the march forms inside its level loop
+    for nt, level in ((6, 3), (40, 35)):
+        g = Grid(nx=6, ny=6, nt=nt)
+        op = GridOperator(g, 0.5, np.ones((g.nx, g.ny, g.nt + 1)))
+        src = np.zeros((g.nx, g.ny, g.nt + 1))
+        src[2, 2, level] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=f"non-finite solution at level {level}$"):
+                op.march(src, *_zero_fluxes(g), np.zeros((g.nx, g.ny)))
+    assert (level - 1) // _BLOCK > 0
+
+
+def _whole_stack_march(op, source, f1, f2, g):
+    """The march with every right-hand side formed up front and the levels kept
+    as (nt+1, m) rows, transposed into the output at the end; factors every level."""
+    w, nt, mx, my = op.w, op.grid.nt, op.mx, op.my
+    base = op.vol * np.moveaxis(source[:mx, :my, 1:], 2, 0).reshape(nt, mx * my)
+    base[:, op.P[0, :]] -= (f1[:my, 1:] * op.dyc[:, None]).T
+    base[:, op.P[:, 0]] -= (f2[:mx, 1:] * op.dxc[:, None]).T
+    rows = np.empty((nt + 1, mx * my))
+    rows[0] = g[:mx, :my].ravel()
+    diffs = np.zeros((nt, mx * my))
+    for n0, n1 in w.blocks():
+        block = -(op.svol * w.far_history(diffs, n0, n1)) + base[n0:n1]
+        for n in range(n0 + 1, n1 + 1):
+            rhs = block[n - n0 - 1] + op.svol * (rows[n - 1] - w.near_history(diffs, n0, n))
+            rows[n] = op._factor(n).solve(rhs)
+            diffs[n - 1] = rows[n] - rows[n - 1]
+    out = np.zeros_like(source)
+    out[:mx, :my, :] = rows.reshape(nt + 1, mx, my).transpose(1, 2, 0)
+    out[:, :, 0] = g
+    return out
+
+
+@pytest.mark.parametrize("nt", [1, _BLOCK - 1, 2 * _BLOCK + 5])
+@pytest.mark.parametrize("one_coefficient", [True, False])
+def test_march_is_the_whole_stack_recursion_bit_for_bit(one_coefficient, nt):
+    # the march forms each block's right-hand sides when it reaches the block and
+    # writes the levels straight into its output; the reference does neither
+    g = Grid(nx=7, ny=6, nt=nt)
+    rng = np.random.default_rng(nt)
+    if one_coefficient:
+        kappa = _one_coefficient_kappa(g, seed=nt)
+    else:  # every level far past the drift limit, so every level is factored
+        kappa = 0.5 + rng.random((g.nx, g.ny, g.nt + 1))
+    source = rng.normal(size=(g.nx, g.ny, g.nt + 1))
+    f1, f2 = rng.normal(size=(g.ny, g.nt + 1)), rng.normal(size=(g.nx, g.nt + 1))
+    u0 = np.zeros((g.nx, g.ny))
+    u0[:-1, :-1] = rng.normal(size=(g.nx - 1, g.ny - 1))
+    op = GridOperator(g, 0.4, kappa)
+    u = op.march(source, f1, f2, u0)
+    assert op.cg_levels == 0
+    assert np.array_equal(u, _whole_stack_march(GridOperator(g, 0.4, kappa), source, f1, f2, u0))
 
 
 def test_factors_are_built_once_per_level_and_kept_only_by_the_adjoint(monkeypatch):
